@@ -58,7 +58,11 @@ bool SubtreeHasUnlearnedDim(const PlanNode& node, const QuerySpec& q,
 BouquetDriver::BouquetDriver(const PlanBouquet& bouquet,
                              const PlanDiagram& diagram, QueryOptimizer* opt,
                              Database* db)
-    : bouquet_(&bouquet), diagram_(&diagram), opt_(opt), db_(db) {}
+    : bouquet_(&bouquet),
+      diagram_(&diagram),
+      opt_(opt),
+      db_(db),
+      index_(bouquet, diagram, opt->query()) {}
 
 ExecContext BouquetDriver::MakeContext() {
   ExecContext ctx;
@@ -464,6 +468,11 @@ DriverResult BouquetDriver::RunOptimized() {
     }
   };
 
+  // Scan scratch, reused across the run's steps.
+  ContourIndex::Scratch scratch(index_);
+  std::vector<int> lo(dims);
+  std::vector<double> costs;
+
   size_t k = 0;
   if (warm_start_ > 0) {
     // Feedback warm start: skip the cheap contour prefix. Safe for any
@@ -493,34 +502,27 @@ DriverResult BouquetDriver::RunOptimized() {
       continue;
     }
 
-    std::vector<int> executed;
+    scratch.ResetExcluded();
     bool advanced = false;
     while (!advanced) {
       if (all_learned()) {
         final_execution(t0);
         return res;
       }
-      // Candidate plans: contour points in the first quadrant of q_run.
-      std::vector<int> remaining;
-      for (size_t i = 0; i < contour.points.size(); ++i) {
-        const DimVector p = grid.SelectivityAt(contour.points[i]);
-        bool quadrant = true;
-        for (int d = 0; d < dims; ++d) {
-          if (p[d] < qrun[d] * (1.0 - kRelEps)) {
-            quadrant = false;
-            break;
-          }
-        }
-        if (!quadrant) continue;
-        const int plan = contour.plan_at[i];
-        if (std::find(executed.begin(), executed.end(), plan) !=
-                executed.end() ||
-            std::find(remaining.begin(), remaining.end(), plan) !=
-                remaining.end()) {
-          continue;
-        }
-        remaining.push_back(plan);
+      // Candidate plans: contour points in the first quadrant of q_run. A
+      // point's selectivity grid.axis(d)[coord] is below qrun[d]*(1-eps)
+      // exactly when its coordinate is below the first axis index at or
+      // above that bound (the axes ascend).
+      for (int d = 0; d < dims; ++d) {
+        const std::vector<double>& axis = grid.axis(d);
+        assert(std::is_sorted(axis.begin(), axis.end()));
+        lo[d] = static_cast<int>(
+            std::lower_bound(axis.begin(), axis.end(),
+                             qrun[d] * (1.0 - kRelEps)) -
+            axis.begin());
       }
+      index_.Candidates(k, lo.data(), /*want_axis=*/false, &scratch);
+      const std::vector<int>& remaining = scratch.candidates;
       if (remaining.empty()) {
         observe_crossing(k, "contour_exhausted");
         ++k;
@@ -532,24 +534,17 @@ DriverResult BouquetDriver::RunOptimized() {
       int chosen = remaining.front();
       {
         double min_cost = std::numeric_limits<double>::infinity();
-        std::vector<double> costs(remaining.size());
+        costs.resize(remaining.size());
         for (size_t i = 0; i < remaining.size(); ++i) {
-          costs[i] =
-              opt_->CostPlanAt(*diagram_->plan(remaining[i]).root, qrun);
+          costs[i] = opt_->CostPlanAt(
+              *diagram_->plan(index_.plan_id(remaining[i])).root, qrun);
           min_cost = std::min(min_cost, costs[i]);
         }
         int best_depth = -2;
         for (size_t i = 0; i < remaining.size(); ++i) {
           if (costs[i] > min_cost * 1.2) continue;
-          const PlanNode& root = *diagram_->plan(remaining[i]).root;
           int depth = -1;
-          for (int d = 0; d < dims; ++d) {
-            if (learned[d]) continue;
-            const ErrorDimension& ed = q.error_dims[d];
-            depth = std::max(depth, ErrorNodeMaxDepth(
-                                        root, ed.kind == DimKind::kJoin,
-                                        ed.predicate_index));
-          }
+          index_.DeepestUnlearned(remaining[i], learned, &depth);
           if (depth > best_depth) {
             best_depth = depth;
             chosen = remaining[i];
@@ -558,19 +553,10 @@ DriverResult BouquetDriver::RunOptimized() {
       }
 
       // Learning dimension (deepest unlearned) and its spill subtree.
-      const Plan& plan = diagram_->plan(chosen);
-      int learn_dim = -1;
+      const Plan& plan = diagram_->plan(index_.plan_id(chosen));
       int learn_depth = -1;
-      for (int d = 0; d < dims; ++d) {
-        if (learned[d]) continue;
-        const ErrorDimension& ed = q.error_dims[d];
-        const int depth = ErrorNodeMaxDepth(
-            *plan.root, ed.kind == DimKind::kJoin, ed.predicate_index);
-        if (depth > learn_depth) {
-          learn_depth = depth;
-          learn_dim = d;
-        }
-      }
+      const int learn_dim = index_.DeepestUnlearned(chosen, learned,
+                                                    &learn_depth);
       const PlanNode* spill_root = nullptr;
       if (learn_dim >= 0) {
         const ErrorDimension& ed = q.error_dims[learn_dim];
@@ -596,7 +582,7 @@ DriverResult BouquetDriver::RunOptimized() {
 
       DriverStep step;
       step.contour = static_cast<int>(k);
-      step.plan_id = chosen;
+      step.plan_id = index_.plan_id(chosen);
       step.plan_signature = plan.signature;
       step.budget = budget;
       step.charged = out.cost_charged;
@@ -623,7 +609,7 @@ DriverResult BouquetDriver::RunOptimized() {
             HarvestSelectivities(*plan.root, &ctx, &qrun, &learned);
         observe_harvest(before, moved);
         res.completed = true;
-        res.final_plan = chosen;
+        res.final_plan = step.plan_id;
         res.final_plan_signature = plan.signature;
         res.rows = std::move(rows);
         res.wall_seconds = Seconds(t0, t2);
@@ -644,7 +630,7 @@ DriverResult BouquetDriver::RunOptimized() {
             HarvestSelectivities(harvest_root, &ctx, &qrun, &learned);
         observe_harvest(before, moved);
       }
-      executed.push_back(chosen);
+      scratch.Exclude(chosen);
 
       // Early contour change once the optimal cost at q_run exceeds the
       // budget.

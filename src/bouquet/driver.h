@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bouquet/bouquet.h"
+#include "bouquet/contour_index.h"
 #include "executor/builder.h"
 #include "executor/exec_context.h"
 #include "obs/metrics.h"
@@ -169,6 +170,7 @@ class BouquetDriver {
   const PlanDiagram* diagram_;
   QueryOptimizer* opt_;
   Database* db_;
+  ContourIndex index_;
   ExecEngine engine_ = ExecEngine::kBatch;
   int warm_start_ = 0;
   obs::Tracer* tracer_ = nullptr;

@@ -68,7 +68,7 @@ PlanNodeRef ReadNode(std::istream& in, Status* status) {
   node->est_cost = std::strtod(cost_hex.c_str(), nullptr);
   node->width = std::strtod(width_hex.c_str(), nullptr);
   node->filter_idxs.resize(nf);
-  for (size_t i = 0; i < nf; ++i) {
+  for (size_t i = 0; i < node->filter_idxs.size(); ++i) {
     if (!(in >> node->filter_idxs[i])) {
       *status = Status::Internal("truncated filter list");
       return nullptr;
@@ -79,7 +79,7 @@ PlanNodeRef ReadNode(std::istream& in, Status* status) {
     return nullptr;
   }
   node->join_idxs.resize(nj);
-  for (size_t i = 0; i < nj; ++i) {
+  for (size_t i = 0; i < node->join_idxs.size(); ++i) {
     if (!(in >> node->join_idxs[i])) {
       *status = Status::Internal("truncated join list");
       return nullptr;

@@ -23,32 +23,18 @@ uint64_t MixHash(uint64_t a, uint64_t b) {
 BouquetSimulator::BouquetSimulator(const PlanBouquet& bouquet,
                                    const PlanDiagram& diagram,
                                    QueryOptimizer* opt, Options options)
-    : bouquet_(&bouquet), diagram_(&diagram), options_(options) {
-  dense_of_plan_.assign(diagram.num_plans(), -1);
-  for (int pid : bouquet.plan_ids) {
-    dense_of_plan_[pid] = static_cast<int>(plan_of_dense_.size());
-    plan_of_dense_.push_back(pid);
-  }
+    : bouquet_(&bouquet),
+      diagram_(&diagram),
+      options_(options),
+      index_(bouquet, diagram, opt->query()) {
   const EssGrid& grid = diagram.grid();
   const uint64_t n = grid.num_points();
-  est_cost_.resize(plan_of_dense_.size());
-  for (size_t d = 0; d < plan_of_dense_.size(); ++d) {
+  est_cost_.resize(index_.num_plans());
+  for (int d = 0; d < index_.num_plans(); ++d) {
     est_cost_[d].resize(n);
-    const PlanNode& root = *diagram.plan(plan_of_dense_[d]).root;
+    const PlanNode& root = *diagram.plan(index_.plan_id(d)).root;
     for (uint64_t i = 0; i < n; ++i) {
       est_cost_[d][i] = opt->CostPlanAt(root, grid.SelectivityAt(i));
-    }
-  }
-  // Error-node depths per plan and dimension (Section 5.1 heuristic).
-  const QuerySpec& q = opt->query();
-  dim_depth_.resize(plan_of_dense_.size());
-  for (size_t d = 0; d < plan_of_dense_.size(); ++d) {
-    dim_depth_[d].resize(q.error_dims.size());
-    const PlanNode& root = *diagram.plan(plan_of_dense_[d]).root;
-    for (size_t dim = 0; dim < q.error_dims.size(); ++dim) {
-      const ErrorDimension& ed = q.error_dims[dim];
-      dim_depth_[d][dim] = ErrorNodeMaxDepth(
-          root, ed.kind == DimKind::kJoin, ed.predicate_index);
     }
   }
 
@@ -56,20 +42,20 @@ BouquetSimulator::BouquetSimulator(const PlanBouquet& bouquet,
   // actual cost over the ESS is smallest. est_cost_ is already materialized,
   // so this is one scan; RunSafe then serves in O(1).
   safe_budget_ = std::numeric_limits<double>::infinity();
-  for (size_t d = 0; d < plan_of_dense_.size(); ++d) {
+  for (int d = 0; d < index_.num_plans(); ++d) {
     double worst = 0.0;
     for (uint64_t i = 0; i < n; ++i) {
-      worst = std::max(worst, ActualCost(plan_of_dense_[d], i));
+      worst = std::max(worst, ActualCost(index_.plan_id(d), i));
     }
     if (worst < safe_budget_) {
       safe_budget_ = worst;
-      safe_plan_ = plan_of_dense_[d];
+      safe_plan_ = index_.plan_id(d);
     }
   }
 }
 
 int BouquetSimulator::DenseIndex(int plan_id) const {
-  const int d = dense_of_plan_[plan_id];
+  const int d = index_.dense(plan_id);
   assert(d >= 0 && "plan not in bouquet");
   return d;
 }
@@ -103,13 +89,9 @@ SimResult BouquetSimulator::RunBasic(uint64_t qa) const {
 
   for (size_t k = 0; k < bouquet_->contours.size(); ++k) {
     const BouquetContour& contour = bouquet_->contours[k];
-    // Order: resume the previously-running plan first when present.
-    std::vector<int> order = contour.plan_ids;
-    if (last_plan >= 0) {
-      auto it = std::find(order.begin(), order.end(), last_plan);
-      if (it != order.end()) std::rotate(order.begin(), it, it + 1);
-    }
-    for (int plan : order) {
+    // Execute one plan at this contour's budget; true once the query
+    // completes.
+    auto execute = [&](int plan) {
       const double c = ActualCost(plan, qa);
       const double prior =
           (options_.continue_same_plan && plan == last_plan) ? last_progress
@@ -127,13 +109,23 @@ SimResult BouquetSimulator::RunBasic(uint64_t qa) const {
         res.completed = true;
         res.final_plan = plan;
         res.final_contour = static_cast<int>(k);
-        return res;
+        return true;
       }
       step.charged = contour.budget - prior;
       res.total_cost += step.charged;
       res.steps.push_back(step);
       last_plan = plan;
       last_progress = contour.budget;
+      return false;
+    };
+    // Order: resume the previously-running plan first when present, then
+    // the rest in contour order.
+    const std::vector<int>& plans = contour.plan_ids;
+    const size_t resumed = static_cast<size_t>(
+        std::find(plans.begin(), plans.end(), last_plan) - plans.begin());
+    if (resumed < plans.size() && execute(plans[resumed])) return res;
+    for (size_t i = 0; i < plans.size(); ++i) {
+      if (i != resumed && execute(plans[i])) return res;
     }
   }
 
@@ -164,63 +156,29 @@ SimResult BouquetSimulator::RunSafe(uint64_t qa) const {
   return res;
 }
 
-int BouquetSimulator::PickPlan(const BouquetContour& contour,
-                               const GridPoint& qrun,
-                               const std::vector<int>& remaining,
+int BouquetSimulator::PickPlan(const std::vector<int>& pool,
+                               uint64_t qrun_linear,
                                const std::vector<bool>& dim_learned) const {
-  assert(!remaining.empty());
-  const EssGrid& grid = diagram_->grid();
-  const uint64_t qrun_linear = grid.LinearIndex(qrun);
-
-  // AxisPlans: plans whose contour points lie on an axis through q_run
-  // (equal to q_run in every dimension but one).
-  std::vector<int> axis_plans;
-  for (size_t i = 0; i < contour.points.size(); ++i) {
-    const GridPoint p = grid.PointAt(contour.points[i]);
-    int diffs = 0;
-    bool quadrant = true;
-    for (size_t d = 0; d < p.size(); ++d) {
-      if (p[d] < qrun[d]) {
-        quadrant = false;
-        break;
-      }
-      if (p[d] > qrun[d]) ++diffs;
-    }
-    if (!quadrant || diffs > 1) continue;
-    const int plan = contour.plan_at[i];
-    if (std::find(remaining.begin(), remaining.end(), plan) ==
-        remaining.end()) {
-      continue;
-    }
-    if (std::find(axis_plans.begin(), axis_plans.end(), plan) ==
-        axis_plans.end()) {
-      axis_plans.push_back(plan);
-    }
-  }
-  const std::vector<int>& pool = axis_plans.empty() ? remaining : axis_plans;
-
+  assert(!pool.empty());
   // Cheapest cost-equivalence group at q_run, then deepest error node among
   // not-yet-learned dimensions.
   double min_cost = std::numeric_limits<double>::infinity();
-  for (int plan : pool) {
-    min_cost = std::min(min_cost, EstimatedCost(plan, qrun_linear));
+  for (int dense : pool) {
+    min_cost = std::min(min_cost, est_cost_[dense][qrun_linear]);
   }
   const double cutoff = min_cost * (1.0 + options_.cost_group_width);
-  int best_plan = pool.front();
+  int best = pool.front();
   int best_depth = -2;
-  for (int plan : pool) {
-    if (EstimatedCost(plan, qrun_linear) > cutoff) continue;
+  for (int dense : pool) {
+    if (est_cost_[dense][qrun_linear] > cutoff) continue;
     int depth = -1;
-    const auto& depths = dim_depth_[DenseIndex(plan)];
-    for (size_t dim = 0; dim < depths.size(); ++dim) {
-      if (!dim_learned[dim]) depth = std::max(depth, depths[dim]);
-    }
+    index_.DeepestUnlearned(dense, dim_learned, &depth);
     if (depth > best_depth) {
       best_depth = depth;
-      best_plan = plan;
+      best = dense;
     }
   }
-  return best_plan;
+  return best;
 }
 
 SimResult BouquetSimulator::RunOptimized(uint64_t qa) const {
@@ -260,6 +218,7 @@ SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa, GridPoint qrun,
 
   int last_plan = -1;
   double last_progress = 0.0;
+  ContourIndex::Scratch scratch(index_);
 
   // Clamp to the LAST contour, not one past it: a warm start beyond the
   // ladder still has to execute the Cmax contour to complete.
@@ -268,8 +227,7 @@ SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa, GridPoint qrun,
                  : std::min(start_contour, bouquet_->contours.size() - 1);
   res.start_contour = static_cast<int>(k);
   while (k < bouquet_->contours.size()) {
-    const BouquetContour& contour = bouquet_->contours[k];
-    const double budget = contour.budget;
+    const double budget = bouquet_->contours[k].budget;
 
     // Early skip: even the optimal plan at the (lower-bound) q_run exceeds
     // this contour's budget, so nothing here can complete.
@@ -278,48 +236,27 @@ SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa, GridPoint qrun,
       continue;
     }
 
-    std::vector<int> executed;
+    scratch.ResetExcluded();
     bool advanced = false;
     while (!advanced) {
       // Candidates: plans with at least one contour point in the first
-      // quadrant of q_run, not yet executed on this contour.
-      std::vector<int> remaining;
-      for (size_t i = 0; i < contour.points.size(); ++i) {
-        const GridPoint p = grid.PointAt(contour.points[i]);
-        bool quadrant = true;
-        for (int d = 0; d < dims; ++d) {
-          if (p[d] < qrun[d]) {
-            quadrant = false;
-            break;
-          }
-        }
-        if (!quadrant) continue;
-        const int plan = contour.plan_at[i];
-        if (std::find(executed.begin(), executed.end(), plan) !=
-                executed.end() ||
-            std::find(remaining.begin(), remaining.end(), plan) !=
-                remaining.end()) {
-          continue;
-        }
-        remaining.push_back(plan);
-      }
-      if (remaining.empty()) {
+      // quadrant of q_run, not yet executed on this contour; axis plans:
+      // those with a point on an axis through q_run.
+      index_.Candidates(k, qrun.data(), /*want_axis=*/true, &scratch);
+      if (scratch.candidates.empty()) {
         ++k;
         break;
       }
 
-      const int plan = PickPlan(contour, qrun, remaining, dim_learned);
+      const uint64_t qrun_linear = grid.LinearIndex(qrun);
+      const int dense = PickPlan(
+          scratch.axis.empty() ? scratch.candidates : scratch.axis,
+          qrun_linear, dim_learned);
+      const int plan = index_.plan_id(dense);
       // Learning dimension: deepest error node among unlearned dims.
-      int learn_dim = -1;
       int learn_depth = -1;
-      const auto& depths = dim_depth_[DenseIndex(plan)];
-      for (int d = 0; d < dims; ++d) {
-        if (dim_learned[d]) continue;
-        if (depths[d] > learn_depth) {
-          learn_depth = depths[d];
-          learn_dim = d;
-        }
-      }
+      const int learn_dim =
+          index_.DeepestUnlearned(dense, dim_learned, &learn_depth);
 
       const double c = ActualCost(plan, qa);
       const double prior =
@@ -347,16 +284,14 @@ SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa, GridPoint qrun,
       res.steps.push_back(step);
       last_plan = plan;
       last_progress = budget;
-      executed.push_back(plan);
+      scratch.Exclude(dense);
 
       // Spill-based learning: move q_run along the learning dimension to the
       // furthest grid index still within budget (capped at the truth).
       if (learn_dim >= 0) {
-        const int dense = DenseIndex(plan);
         int idx = qrun[learn_dim];
-        const uint64_t base = grid.LinearIndex(qrun);
         for (int trial = idx + 1; trial <= qa_pt[learn_dim]; ++trial) {
-          const uint64_t pt = grid.LinearWithDim(base, learn_dim, trial);
+          const uint64_t pt = grid.LinearWithDim(qrun_linear, learn_dim, trial);
           if (est_cost_[dense][pt] > budget * (1.0 + kEps)) break;
           idx = trial;
         }

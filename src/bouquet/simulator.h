@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bouquet/bouquet.h"
+#include "bouquet/contour_index.h"
 #include "ess/plan_diagram.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
@@ -65,8 +66,9 @@ struct SimOptions {
 };
 
 /// Simulator bound to a bouquet + diagram. Precomputes the cost surface of
-/// every bouquet plan over the full grid, so individual runs are O(grid-free)
-/// lookups.
+/// every bouquet plan over the full grid and the bouquet's ContourIndex, so
+/// individual runs are grid-free lookups, and a run's steps allocate nothing
+/// beyond the steps and q_run trace it returns.
 ///
 /// Thread-safety: construction uses the passed QueryOptimizer (not
 /// thread-safe) and is single-threaded; afterwards the optimizer is not
@@ -143,22 +145,20 @@ class BouquetSimulator {
   double ModelErrorFactor(int plan_id, uint64_t point) const;
   SimResult RunOptimizedFrom(uint64_t qa, GridPoint qrun,
                              size_t start_contour) const;
-  // The AxisPlans selection heuristic; returns a diagram plan id from
-  // `remaining`, preferring plans on the contour's axis intersections wrt
-  // q_run, cheapest cost group, deepest error node.
-  int PickPlan(const BouquetContour& contour, const GridPoint& qrun,
-               const std::vector<int>& remaining,
+  // The AxisPlans selection heuristic over dense plans: from `pool` (the
+  // contour's axis plans wrt q_run when there are any, else all of its
+  // candidates), the deepest error node among unlearned dimensions within
+  // the cheapest cost group at q_run; ties go to the earlier plan.
+  int PickPlan(const std::vector<int>& pool, uint64_t qrun_linear,
                const std::vector<bool>& dim_learned) const;
 
   const PlanBouquet* bouquet_;
   const PlanDiagram* diagram_;
   Options options_;
+  ContourIndex index_;
   int safe_plan_ = -1;         // argmin over bouquet plans of max actual cost
   double safe_budget_ = 0.0;   // that minmax cost (worst-case bound)
-  std::vector<int> dense_of_plan_;           // diagram plan id -> dense idx
-  std::vector<int> plan_of_dense_;           // dense idx -> diagram plan id
   std::vector<std::vector<double>> est_cost_;  // [dense][point]
-  std::vector<std::vector<int>> dim_depth_;    // [dense][dim] error-node depth
 };
 
 }  // namespace bouquet

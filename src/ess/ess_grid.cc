@@ -92,11 +92,15 @@ uint64_t EssGrid::LinearIndex(const GridPoint& p) const {
 
 GridPoint EssGrid::PointAt(uint64_t linear) const {
   GridPoint p(dims());
+  PointAt(linear, p.data());
+  return p;
+}
+
+void EssGrid::PointAt(uint64_t linear, int* out) const {
   for (int d = 0; d < dims(); ++d) {
-    p[d] = static_cast<int>(linear / strides_[d]);
+    out[d] = static_cast<int>(linear / strides_[d]);
     linear %= strides_[d];
   }
-  return p;
 }
 
 uint64_t EssGrid::LinearWithDim(uint64_t linear, int d, int idx) const {

@@ -55,6 +55,8 @@ class EssGrid {
 
   uint64_t LinearIndex(const GridPoint& p) const;
   GridPoint PointAt(uint64_t linear) const;
+  /// Allocation-free variant: writes the dims() indexes into out[0..dims).
+  void PointAt(uint64_t linear, int* out) const;
 
   /// Linear index of p with dimension d's index replaced by idx.
   uint64_t LinearWithDim(uint64_t linear, int d, int idx) const;

@@ -200,7 +200,9 @@ void BouquetServer::DrainOutbox(Reactor& reactor) {
 void BouquetServer::UpdateWriteInterest(Reactor& reactor, Connection& conn) {
   const uint32_t events =
       EPOLLIN | (conn.want_write() ? EPOLLOUT : 0u);
-  reactor.loop.Mod(conn.fd(), events, &conn);
+  if (!reactor.loop.Mod(conn.fd(), events, &conn).ok()) {
+    CloseConnection(reactor, conn.id());
+  }
 }
 
 void BouquetServer::CloseConnection(Reactor& reactor, uint64_t conn_id) {
@@ -566,8 +568,15 @@ void BouquetServer::DoShutdown() {
   }
   // 4. Final trace export (the in-flight record, not just end-of-process).
   if (options_.tracer != nullptr && !options_.trace_path.empty()) {
-    options_.tracer->ExportJsonlFile(options_.trace_path);
+    Status exported = options_.tracer->ExportJsonlFile(options_.trace_path);
+    MutexLock lock(&state_mu_);
+    trace_export_status_ = std::move(exported);
   }
+}
+
+Status BouquetServer::trace_export_status() const {
+  MutexLock lock(&state_mu_);
+  return trace_export_status_;
 }
 
 }  // namespace net

@@ -97,6 +97,11 @@ class BouquetServer {
 
   const RequestRouter& router() const { return *router_; }
 
+  /// Outcome of the trace export that graceful shutdown writes to
+  /// ServerOptions::trace_path: OK when none is configured, shutdown has
+  /// not finished yet, or the export succeeded. Read it after Wait().
+  Status trace_export_status() const;
+
  private:
   struct Reactor {
     int index = 0;
@@ -119,7 +124,9 @@ class BouquetServer {
   void HandleFrame(Reactor& reactor, Connection& conn, const Frame& frame);
   void HandleQuery(Reactor& reactor, Connection& conn, const Frame& frame);
   void CloseConnection(Reactor& reactor, uint64_t conn_id);
-  /// Arms/disarms EPOLLOUT to match conn.want_write().
+  /// Arms/disarms EPOLLOUT to match conn.want_write(). If epoll refuses,
+  /// closes the connection (queued bytes would never flush and the peer
+  /// would wait forever), so `conn` may be gone when this returns.
   void UpdateWriteInterest(Reactor& reactor, Connection& conn);
   /// Reactor-thread send: queue + flush + write-interest update.
   void SendNow(Reactor& reactor, Connection& conn,
@@ -169,11 +176,12 @@ class BouquetServer {
   std::atomic<bool> stop_accepting_{false};
 
   // Supervisor handshake: RequestShutdown flags, Wait tears down once.
-  Mutex state_mu_;
+  mutable Mutex state_mu_;
   CondVar state_cv_;
   bool shutdown_requested_ GUARDED_BY(state_mu_) = false;
   bool teardown_claimed_ GUARDED_BY(state_mu_) = false;
   bool shutdown_done_ GUARDED_BY(state_mu_) = false;
+  Status trace_export_status_ GUARDED_BY(state_mu_);
 };
 
 }  // namespace net

@@ -6,9 +6,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 
 #include "bouquet/driver.h"
 #include "ess/posp_generator.h"
+#include "golden_digest.h"
+#include "storage/buffer_manager.h"
+#include "storage/paged_table.h"
 #include "workloads/spaces.h"
 #include "workloads/tpch.h"
 
@@ -286,6 +290,104 @@ TEST_F(DriverTest, SmallSelectivityFinishesEarly) {
   const DriverResult res = driver.RunBasic();
   EXPECT_TRUE(res.completed);
   EXPECT_LE(res.contours_crossed, 2);
+}
+
+
+// Folds a run's DriverStep sequence into `g`: contour, plan, the charge's
+// bit pattern, page reads and hits, spill and learned dim per step, then
+// the run's totals.
+void FoldDriverRun(const DriverResult& r, GoldenDigest* g) {
+  g->Add(r.completed);
+  g->Add(r.total_cost_units);
+  g->Add(r.num_executions);
+  g->Add(r.contours_crossed);
+  g->Add(r.warm_contours_skipped);
+  g->Add(r.final_plan);
+  g->Add(static_cast<uint64_t>(r.steps.size()));
+  for (const DriverStep& s : r.steps) {
+    g->Add(s.contour);
+    g->Add(s.plan_id);
+    g->Add(s.charged);
+    g->Add(s.page_reads);
+    g->Add(s.page_hits);
+    g->Add(s.completed);
+    g->Add(s.spilled);
+    g->Add(s.learned_dim);
+  }
+  for (double sel : r.discovered_selectivities) g->Add(sel);
+}
+
+// Golden fingerprint of the real-data climbs over paged storage. A sweep of
+// bindings of a 2D and a 3D template runs the optimized climb cold and warm
+// started at contour 1, and the basic climb, each from a cold buffer pool
+// smaller than the data. The other driver tests check results and bounds;
+// this pins the exact step sequences, so a refactor of the climb that
+// changes a candidate order, a charge or a page access fails here.
+TEST(DriverGoldenTest, PagedStepSequencesPinned) {
+  // Declared before the storage so the directory goes after it closes.
+  struct RemoveDir {
+    std::string path;
+    ~RemoveDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } dir{::testing::TempDir() + "/driver_golden_paged"};
+  std::filesystem::remove_all(dir.path);
+  Catalog catalog;
+  storage::StorageManager sm(storage::StorageOptions{
+      dir.path, 24, storage::EvictionPolicyKind::k2Q});
+  {
+    Database mem;
+    TpchDataOptions opts;
+    opts.mini_scale = 0.1;
+    MakeTpchDatabase(&mem, opts);
+    SyncTpchCatalog(mem, &catalog);
+    for (const char* t : {"region", "nation", "supplier", "customer", "part",
+                          "orders", "lineitem"}) {
+      ASSERT_TRUE(sm.ImportTable(mem.table(t)).ok()) << t;
+    }
+  }
+  Database db;
+  db.AttachStorage(&sm);
+
+  GoldenDigest g;
+  struct Sweep {
+    QuerySpec tmpl;
+    std::vector<int> res;
+    int strata;
+  };
+  for (const Sweep& sw : {Sweep{Make2DHQ8a(catalog), {12, 12}, 6},
+                          Sweep{Make3DHQ5b(catalog), {6, 6, 6}, 3}}) {
+    QueryOptimizer compile_opt(sw.tmpl, catalog, CostParams::Postgres());
+    const EssGrid grid(sw.tmpl, sw.res);
+    const PlanDiagram diagram =
+        GeneratePosp(sw.tmpl, catalog, CostParams::Postgres(), grid);
+    const PlanBouquet bouquet = BuildBouquet(diagram, &compile_opt);
+    const int dims = sw.tmpl.NumDims();
+    int cells = 1;
+    for (int d = 0; d < dims; ++d) cells *= sw.strata;
+    for (int cell = 0; cell < cells; ++cell) {
+      // Stratum centres on a log scale over [0.005, 1].
+      std::vector<double> target;
+      for (int d = 0, rest = cell; d < dims; ++d, rest /= sw.strata) {
+        const double u = (rest % sw.strata + 0.5) / sw.strata;
+        target.push_back(0.005 * std::pow(1.0 / 0.005, u));
+      }
+      QuerySpec q = sw.tmpl;
+      BindSelectionConstants(&q, catalog, target);
+      QueryOptimizer opt(q, catalog, CostParams::Postgres());
+      for (int warm : {0, 1}) {
+        BouquetDriver driver(bouquet, diagram, &opt, &db);
+        driver.SetWarmStart(warm);
+        sm.buffer()->ResetForTest();
+        FoldDriverRun(driver.RunOptimized(), &g);
+      }
+      BouquetDriver driver(bouquet, diagram, &opt, &db);
+      sm.buffer()->ResetForTest();
+      FoldDriverRun(driver.RunBasic(), &g);
+    }
+  }
+  EXPECT_EQ(g.value(), 0xbe4de4d6bdb0622bULL);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <random>
@@ -670,6 +671,31 @@ TEST_F(LoopbackServerTest, ServesQueriesMetricsAndTracesOverTheWire) {
   EXPECT_GE(stats.requests, 28u);
   EXPECT_EQ(stats.compilations, 1u);  // 28 requests, one compile
   EXPECT_GE(stats.batch_requests, static_cast<uint64_t>(kBurst) / 2);
+}
+
+TEST_F(LoopbackServerTest, ShutdownTraceExportFailureIsReported) {
+  // Regression: a failed shutdown trace export used to be dropped, so the
+  // owner had no way to learn the trace file was never written.
+  BouquetService service(catalog_, FastService());
+  ServerOptions sopts = FastServer();
+  sopts.num_reactors = 1;
+  sopts.trace_path = ::testing::TempDir() + "/no_such_dir/trace.jsonl";
+  BouquetServer server(&service, sopts);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_TRUE(server.trace_export_status().ok());  // nothing exported yet
+  server.RequestShutdown();
+  server.Wait();
+  EXPECT_FALSE(server.trace_export_status().ok());
+
+  const std::string good = ::testing::TempDir() + "/server_trace.jsonl";
+  sopts.trace_path = good;
+  BouquetServer ok_server(&service, sopts);
+  ASSERT_TRUE(ok_server.Start().ok());
+  ok_server.RequestShutdown();
+  ok_server.Wait();
+  EXPECT_TRUE(ok_server.trace_export_status().ok())
+      << ok_server.trace_export_status().ToString();
+  std::remove(good.c_str());
 }
 
 TEST_F(LoopbackServerTest, OverloadShedsToDegradedSafePlanWithBoundedQueue) {

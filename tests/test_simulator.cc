@@ -6,6 +6,7 @@
 #include "bouquet/bounds.h"
 #include "bouquet/simulator.h"
 #include "ess/posp_generator.h"
+#include "golden_digest.h"
 #include "robustness/metrics.h"
 #include "workloads/spaces.h"
 #include "workloads/tpcds.h"
@@ -14,11 +15,17 @@
 namespace bouquet {
 namespace {
 
+NamedSpace FindSpace(const std::string& name, const Catalog& tpch,
+                     const Catalog& tpcds) {
+  if (name == "EQ") return {"EQ", "H", MakeEqQuery(tpch)};
+  return GetSpace(name, tpch, tpcds);
+}
+
 struct Pipeline {
   Pipeline(const std::string& space_name, std::vector<int> res)
       : tpch(MakeTpchCatalog(1.0)),
         tpcds(MakeTpcdsCatalog(100.0)),
-        space(GetSpace(space_name, tpch, tpcds)),
+        space(FindSpace(space_name, tpch, tpcds)),
         grid(space.query, std::move(res)),
         diagram(GeneratePosp(space.query,
                              space.benchmark == "H" ? tpch : tpcds,
@@ -191,6 +198,82 @@ TEST_P(ModelErrorSweep, MsoInflationBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Deltas, ModelErrorSweep,
                          ::testing::Values(0.1, 0.2, 0.4));
+
+// Folds everything a run reports into `g`: per step the contour, plan,
+// budget and charge bit patterns, completion and learned dim; the q_run
+// trace; and the run's totals.
+void FoldRun(const SimResult& r, GoldenDigest* g) {
+  g->Add(r.completed);
+  g->Add(r.fallback_used);
+  g->Add(r.total_cost);
+  g->Add(r.num_executions);
+  g->Add(r.final_plan);
+  g->Add(r.final_contour);
+  g->Add(r.start_contour);
+  g->Add(static_cast<uint64_t>(r.steps.size()));
+  for (const SimStep& s : r.steps) {
+    g->Add(s.contour);
+    g->Add(s.plan_id);
+    g->Add(s.budget);
+    g->Add(s.charged);
+    g->Add(s.completed);
+    g->Add(s.learned_dim);
+  }
+  g->Add(static_cast<uint64_t>(r.qrun_trace.size()));
+  for (const GridPoint& q : r.qrun_trace) {
+    for (int c : q) g->Add(c);
+  }
+}
+
+// Every climb entry point at every grid point: cold, warm at contours 1 and
+// 2, seeded (the seed overshoots q_a near the origin, so the clamp is
+// exercised too) and basic.
+uint64_t ClimbFingerprint(const EssGrid& grid, const BouquetSimulator& sim) {
+  GoldenDigest g;
+  for (uint64_t qa = 0; qa < grid.num_points(); ++qa) {
+    FoldRun(sim.RunOptimized(qa), &g);
+    FoldRun(sim.RunOptimizedWarm(qa, 1), &g);
+    FoldRun(sim.RunOptimizedWarm(qa, 2), &g);
+    GridPoint seed = grid.PointAt(qa);
+    for (size_t d = 0; d < seed.size(); ++d) {
+      seed[d] = (seed[d] + static_cast<int>(d)) / 2;
+    }
+    FoldRun(sim.RunOptimizedSeeded(qa, seed), &g);
+    FoldRun(sim.RunBasic(qa), &g);
+  }
+  return g.value();
+}
+
+// Golden fingerprints of the exact climbs. The other tests check bounds and
+// invariants only; these pin the step sequences, charges and q_run traces
+// bit for bit, so a refactor of either climb that changes behaviour fails
+// here even when every bound still holds.
+TEST(SimulatorGoldenTest, EqClimbsPinned) {
+  Pipeline p("EQ", {100});
+  BouquetSimulator sim(p.bouquet, p.diagram, &p.opt);
+  EXPECT_EQ(ClimbFingerprint(p.grid, sim), 0x63b4858e71246b3fULL);
+}
+
+TEST(SimulatorGoldenTest, ThreeDimClimbsPinned) {
+  Pipeline p("3D_H_Q5", {10, 10, 10});
+  BouquetSimulator sim(p.bouquet, p.diagram, &p.opt);
+  EXPECT_EQ(ClimbFingerprint(p.grid, sim), 0xe387b35375c31292ULL);
+}
+
+TEST(SimulatorGoldenTest, FiveDimClimbsPinned) {
+  Pipeline p("5D_H_Q7", {6, 6, 6, 6, 6});
+  BouquetSimulator sim(p.bouquet, p.diagram, &p.opt);
+  EXPECT_EQ(ClimbFingerprint(p.grid, sim), 0x34f2ef6ae87d0652ULL);
+}
+
+TEST(SimulatorGoldenTest, ModelErrorRestartClimbsPinned) {
+  Pipeline p("3D_H_Q7", {7, 7, 7});
+  SimOptions opts;
+  opts.model_error_delta = 0.3;
+  opts.continue_same_plan = false;
+  BouquetSimulator sim(p.bouquet, p.diagram, &p.opt, opts);
+  EXPECT_EQ(ClimbFingerprint(p.grid, sim), 0xc9bd349825161332ULL);
+}
 
 }  // namespace
 }  // namespace bouquet
