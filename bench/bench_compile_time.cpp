@@ -4,9 +4,11 @@
 // subplan memo + recost-first fast path).
 //
 // Also emits machine-readable BENCH_compile.json with per-template dp_calls
-// / recost_hits / wall seconds; `--smoke` runs only the fixed 2D/res-100
-// template (plus its memoryless reference) for the CI perf gate checked by
-// scripts/check_compile_smoke.py.
+// / recost_hits / the incremental layers' exact work counters
+// (bound_subsets, recost_nodes) / wall seconds; `--smoke` runs only the
+// fixed 2D/res-100 template (plus its memoryless reference) for the CI perf
+// gate checked by scripts/check_compile_smoke.py, which gates dp_calls and
+// bound_subsets.
 
 #include <benchmark/benchmark.h>
 
@@ -81,7 +83,8 @@ void WriteBenchJson(const std::vector<TemplateReport>& reports,
         "      \"points\": %llu,\n"
         "      \"incremental\": {\"dp_calls\": %lld, \"recost_hits\": %lld, "
         "\"memo_hits\": %lld, \"audit_checks\": %lld, \"audit_failures\": "
-        "%lld, \"wall_seconds\": %.6f},\n"
+        "%lld, \"bound_subsets\": %lld, \"recost_nodes\": %lld, "
+        "\"wall_seconds\": %.6f},\n"
         "      \"memoryless\": {\"dp_calls\": %lld, \"wall_seconds\": "
         "%.6f},\n"
         "      \"dp_reduction\": %.3f,\n"
@@ -90,7 +93,8 @@ void WriteBenchJson(const std::vector<TemplateReport>& reports,
         r.name.c_str(), static_cast<unsigned long long>(r.points),
         r.incremental.dp_calls, r.incremental.recost_hits,
         r.incremental.memo_hits, r.incremental.audit_checks,
-        r.incremental.audit_failures, r.incremental.wall_seconds,
+        r.incremental.audit_failures, r.incremental.bound_subsets,
+        r.incremental.recost_nodes, r.incremental.wall_seconds,
         r.memoryless.dp_calls, r.memoryless.wall_seconds, Reduction(r),
         Speedup(r), i + 1 < reports.size() ? "," : "");
   }
@@ -110,6 +114,13 @@ void PrintTemplateTable(const std::vector<TemplateReport>& reports) {
         r.incremental.dp_calls, r.incremental.recost_hits,
         r.memoryless.dp_calls, r.incremental.wall_seconds,
         r.memoryless.wall_seconds, Speedup(r));
+  }
+  // Exact work of the two incremental layers (deterministic per sharding).
+  std::printf("\n  %-16s %-14s %-14s\n", "template", "bound subsets",
+              "recost nodes");
+  for (const TemplateReport& r : reports) {
+    std::printf("  %-16s %-14lld %-14lld\n", r.name.c_str(),
+                r.incremental.bound_subsets, r.incremental.recost_nodes);
   }
 }
 

@@ -143,6 +143,8 @@ void PrintReproduction() {
               "(%lld memo hits) across %llu compilations\n",
               s.posp_dp_calls, s.posp_recost_hits, s.posp_memo_hits,
               static_cast<unsigned long long>(s.compilations));
+  std::printf("    compile work:   %lld subset bounds, %lld recost nodes\n",
+              s.posp_bound_subsets, s.posp_recost_nodes);
   std::printf("    audit:          %lld sampled re-derivations, %lld "
               "failures\n",
               s.posp_audit_checks, s.posp_audit_failures);

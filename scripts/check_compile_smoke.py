@@ -3,11 +3,14 @@
 
 Compares the BENCH_compile.json emitted by `bench_compile_time --smoke`
 against the recorded baseline (bench/baselines/compile_smoke.json). The
-gated metric is dp_calls on the fixed 2D/res-100 template: it counts how
-many grid points the recost-first fast path failed to certify and is fully
-deterministic (no wall-clock noise), so any increase is a real regression
-in fast-path coverage. memoryless dp_calls must also still equal the point
-count (the reference path must not silently start skipping).
+gated metrics on the fixed 2D/res-100 template are fully deterministic (no
+wall-clock noise), so any increase is a real regression:
+  * dp_calls: grid points the recost-first fast path failed to certify
+    (fast-path coverage);
+  * bound_subsets: subset bounds DpLowerBound computed (the
+    moved-dimension rule's reuse); a bench that omits it fails.
+memoryless dp_calls must also still equal the point count (the reference
+path must not silently start skipping).
 
 Usage: check_compile_smoke.py <BENCH_compile.json> [baseline.json]
 Exit code 0 on pass, 1 on regression or malformed input.
@@ -53,6 +56,20 @@ def main(argv):
             failures.append(
                 f"{name}: incremental dp_calls {got_dp} > baseline ceiling "
                 f"{max_dp} — fast-path coverage regressed")
+        got_bs = cur["incremental"].get("bound_subsets")
+        max_bs = base["max_bound_subsets"]
+        if got_bs is None:
+            failures.append(
+                f"{name}: incremental bound_subsets missing from "
+                f"{bench_path}")
+        else:
+            print(f"{name}: incremental bound_subsets {got_bs} "
+                  f"(baseline ceiling {max_bs})")
+            if got_bs > max_bs:
+                failures.append(
+                    f"{name}: incremental bound_subsets {got_bs} > "
+                    f"baseline ceiling {max_bs} — the DP bound "
+                    f"recomputes subsets no moved dimension touches")
         if cur["incremental"]["audit_failures"] != 0:
             failures.append(
                 f"{name}: {cur['incremental']['audit_failures']} audit "

@@ -29,12 +29,24 @@ BouquetSimulator::BouquetSimulator(const PlanBouquet& bouquet,
       index_(bouquet, diagram, opt->query()) {
   const EssGrid& grid = diagram.grid();
   const uint64_t n = grid.num_points();
+  // Cost surfaces in one linear sweep: consecutive points move one
+  // dimension, so each plan's recoster recomputes only the nodes above it.
+  const CardinalityContext card(opt->query(), opt->catalog());
+  SelectivityResolver sel(opt->query(), opt->catalog());
+  std::vector<PlanRecoster> recosters;
+  recosters.reserve(index_.num_plans());
   est_cost_.resize(index_.num_plans());
   for (int d = 0; d < index_.num_plans(); ++d) {
+    recosters.emplace_back(diagram.plan(index_.plan_id(d)).root,
+                           opt->cost_model(), card);
     est_cost_[d].resize(n);
-    const PlanNode& root = *diagram.plan(index_.plan_id(d)).root;
-    for (uint64_t i = 0; i < n; ++i) {
-      est_cost_[d][i] = opt->CostPlanAt(root, grid.SelectivityAt(i));
+  }
+  DimVector dims;
+  for (uint64_t i = 0; i < n; ++i) {
+    grid.SelectivityAt(i, &dims);
+    sel.Inject(dims);
+    for (int d = 0; d < index_.num_plans(); ++d) {
+      est_cost_[d][i] = recosters[d].CostAt(sel);
     }
   }
 

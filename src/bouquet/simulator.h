@@ -66,13 +66,14 @@ struct SimOptions {
 };
 
 /// Simulator bound to a bouquet + diagram. Precomputes the cost surface of
-/// every bouquet plan over the full grid and the bouquet's ContourIndex, so
-/// individual runs are grid-free lookups, and a run's steps allocate nothing
-/// beyond the steps and q_run trace it returns.
+/// every bouquet plan over the full grid (one linear sweep of incremental
+/// PlanRecosters) and the bouquet's ContourIndex, so individual runs are
+/// grid-free lookups, and a run's steps allocate nothing beyond the steps
+/// and q_run trace it returns.
 ///
-/// Thread-safety: construction uses the passed QueryOptimizer (not
-/// thread-safe) and is single-threaded; afterwards the optimizer is not
-/// retained and all state is immutable, so the const Run*/cost accessors may
+/// Thread-safety: construction only reads the passed QueryOptimizer's
+/// query, catalog and cost model, and is single-threaded; afterwards the
+/// optimizer is not retained and all state is immutable, so the const Run*/cost accessors may
 /// be called from any number of threads concurrently (this is what lets
 /// BouquetService share one simulator per cached template).
 class BouquetSimulator {

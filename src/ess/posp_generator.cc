@@ -11,8 +11,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "optimizer/cardinality.h"
 #include "optimizer/dp_bound.h"
 #include "optimizer/optimizer.h"
+#include "optimizer/recost.h"
+#include "optimizer/selectivity.h"
 
 namespace bouquet {
 
@@ -50,17 +53,26 @@ struct ShardResult {
   long long memo_hits = 0;
   long long audit_checks = 0;
   long long audit_failures = 0;
+  long long bound_subsets = 0;
+  long long recost_nodes = 0;
 };
 
+// `fast_path`: run the recost-first fast path (PospOptions::incremental on
+// a query DpLowerBound supports); otherwise one full DP per point.
 void RunShard(const QuerySpec& query, const Catalog& catalog,
               CostParams params, const EssGrid& grid,
-              const PospOptions& options, uint64_t begin, uint64_t end,
-              ShardResult* out) {
+              const PospOptions& options, bool fast_path, uint64_t begin,
+              uint64_t end, ShardResult* out) {
   QueryOptimizer opt(query, catalog, params);
   std::unique_ptr<DpLowerBound> bound;
-  if (options.incremental) {
+  if (fast_path) {
     bound = std::make_unique<DpLowerBound>(query, catalog, CostModel(params));
   }
+  // The fast path's recosts: one incremental recoster per interned plan,
+  // over a shard-local resolver injected once per point.
+  const CardinalityContext card(query, catalog);
+  SelectivityResolver sel(query, catalog);
+  std::vector<PlanRecoster> recosters;
 
   out->local_plan.resize(end - begin);
   out->cost.resize(end - begin);
@@ -95,9 +107,14 @@ void RunShard(const QuerySpec& query, const Catalog& catalog,
       const double lb = bound->BoundAt(sels, &ambiguous);
       if (!ambiguous && std::isfinite(lb)) {
         const size_t k = out->local_plans.size();
+        while (recosters.size() < k) {
+          recosters.emplace_back(out->local_plans[recosters.size()].root,
+                                 opt.cost_model(), card);
+        }
+        sel.Inject(sels);
         for (size_t step = 0; step < k; ++step) {
           const size_t p = (last_hit + step) % k;
-          const double c = opt.CostPlanAt(*out->local_plans[p].root, sels);
+          const double c = recosters[p].CostAt(sel);
           if (c <= lb) {
             id = static_cast<int>(p);
             cost = c;
@@ -132,6 +149,10 @@ void RunShard(const QuerySpec& query, const Catalog& catalog,
     last_hit = static_cast<size_t>(id);
   }
   out->memo_hits = opt.memo_hits();
+  if (bound != nullptr) out->bound_subsets = bound->subsets_computed();
+  for (const PlanRecoster& r : recosters) {
+    out->recost_nodes += r.nodes_computed();
+  }
 }
 
 // Interns shard results into the diagram in linear-shard order. Because a
@@ -157,6 +178,8 @@ void MergeShards(const std::vector<ShardResult>& results, uint64_t chunk,
     agg->memo_hits += r.memo_hits;
     agg->audit_checks += r.audit_checks;
     agg->audit_failures += r.audit_failures;
+    agg->bound_subsets += r.bound_subsets;
+    agg->recost_nodes += r.recost_nodes;
   }
   agg->shards += static_cast<long long>(results.size());
 }
@@ -171,6 +194,8 @@ PlanDiagram GeneratePosp(const QuerySpec& query, const Catalog& catalog,
 
   PlanDiagram diagram(&grid);
   PospStats agg;
+  const bool fast_path =
+      options.incremental && DpLowerBound::Supports(query, catalog);
 
   if (options.pool != nullptr && n >= options.min_shard_points && n > 1) {
     // Pool-backed sharding: enough chunks for load balance, but never a
@@ -190,8 +215,8 @@ PlanDiagram GeneratePosp(const QuerySpec& query, const Catalog& catalog,
       for (uint64_t s = sb; s < se; ++s) {
         const uint64_t begin = chunk * s;
         const uint64_t end = (s + 1 == shards) ? n : begin + chunk;
-        RunShard(query, catalog, params, grid, options, begin, end,
-                 &results[s]);
+        RunShard(query, catalog, params, grid, options, fast_path, begin,
+                 end, &results[s]);
       }
     });
     MergeShards(results, chunk, &diagram, &agg);
@@ -208,8 +233,8 @@ PlanDiagram GeneratePosp(const QuerySpec& query, const Catalog& catalog,
       const uint64_t end = std::min(n, begin + chunk);
       if (begin >= end) break;
       workers.emplace_back(RunShard, std::cref(query), std::cref(catalog),
-                           params, std::cref(grid), std::cref(options), begin,
-                           end, &results[t]);
+                           params, std::cref(grid), std::cref(options),
+                           fast_path, begin, end, &results[t]);
     }
     for (auto& w : workers) w.join();
     results.resize(workers.size());
@@ -218,7 +243,8 @@ PlanDiagram GeneratePosp(const QuerySpec& query, const Catalog& catalog,
     // Serial: one shard spanning the whole grid (the fast path sees the
     // longest possible prefix of known plans).
     std::vector<ShardResult> results(1);
-    RunShard(query, catalog, params, grid, options, 0, n, &results[0]);
+    RunShard(query, catalog, params, grid, options, fast_path, 0, n,
+             &results[0]);
     MergeShards(results, n, &diagram, &agg);
   }
 

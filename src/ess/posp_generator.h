@@ -16,7 +16,12 @@
 // VLDB'07) — so each shard walks its points in linear (axis-major) order and,
 // before running the full DP, recosts its already-materialized winner plans
 // at the new point. When some candidate's recost c* <= the optimistic scalar
-// DP bound (optimizer/dp_bound), the point is served without a DP call:
+// DP bound (optimizer/dp_bound), the point is served without a DP call.
+// Both sides of that test are incremental: consecutive points of the walk
+// differ in one dimension, the shard's DpLowerBound recomputes only the
+// subsets that dimension touches, and each interned plan's PlanRecoster
+// (optimizer/recost) only the nodes it touches; PospStats::bound_subsets and
+// recost_nodes count that work exactly. The test itself is exact:
 // bound <= optimal <= c* always holds (additive cost formulas are
 // float-monotone in child costs and recosting reproduces the enumerator's
 // exact float derivation), so the comparison can only succeed when all three
@@ -31,8 +36,8 @@
 // points and counts disagreements (none expected; see PospStats).
 //
 // Thread-safety: the query, catalog, and grid are only read; every shard
-// owns a private QueryOptimizer (and DP bound); the diagram is assembled
-// single-threaded after the shards join. No shared mutable state is
+// owns a private QueryOptimizer, DP bound and recosters; the diagram is
+// assembled single-threaded after the shards join. No shared mutable state is
 // reachable from workers.
 //
 // Shrunken ESS boxes: the generator is agnostic to where the grid's axes
@@ -69,9 +74,11 @@ struct PospOptions {
   /// absorbed by the last shard). Lower it in tests to force multi-shard
   /// runs.
   uint64_t min_shard_points = 256;
-  /// Master switch for the recost-first fast path + invariant-subplan memo
-  /// reuse across points. Off = the memoryless behavior (one full DP per
-  /// point); the output diagram is identical either way.
+  /// Switch for the recost-first fast path and its DP bound. Off = one full
+  /// DP per point; the output diagram is identical either way. It does not
+  /// turn off PlanEnumerator's invariant-subplan memo, which every
+  /// OptimizeAt uses. A query DpLowerBound does not support (more than 64
+  /// key orders) always compiles as if this were off.
   bool incremental = true;
   /// Fraction of *skipped* points whose plan+cost are re-derived by a full
   /// DP and compared (differential audit). Deterministic in (audit_seed,
@@ -90,6 +97,12 @@ struct PospStats {
   long long memo_hits = 0;     ///< DP subproblems reused across points
   long long audit_checks = 0;  ///< skipped points re-derived by a full DP
   long long audit_failures = 0;  ///< audit disagreements (expected 0)
+  /// Exact work counters of the two incremental layers: subset bounds
+  /// computed by DpLowerBound (singletons included) and plan nodes computed
+  /// by the fast path's recosts (PlanRecoster). Deterministic for a given
+  /// sharding, so CI gates bound_subsets like dp_calls.
+  long long bound_subsets = 0;
+  long long recost_nodes = 0;
   long long shards = 0;          ///< parallel shards actually run
   double wall_seconds = 0.0;
 };

@@ -1,5 +1,6 @@
 #include "optimizer/cardinality.h"
 
+#include <bit>
 #include <cassert>
 
 namespace bouquet {
@@ -10,6 +11,21 @@ uint64_t PlanTableMask(const PlanNode& root) {
   if (root.left) mask |= PlanTableMask(*root.left);
   if (root.right) mask |= PlanTableMask(*root.right);
   return mask;
+}
+
+uint32_t MovedDims(const SelectivityResolver& sel, DimVector* seen) {
+  const int dims = sel.query().NumDims();
+  assert(dims <= 32 && "dim mask is 32 bits");
+  seen->resize(dims);
+  uint32_t moved = 0;
+  for (int d = 0; d < dims; ++d) {
+    const double v = sel.DimSelectivity(d);
+    if (std::bit_cast<uint64_t>(v) != std::bit_cast<uint64_t>((*seen)[d])) {
+      moved |= uint32_t{1} << d;
+      (*seen)[d] = v;
+    }
+  }
+  return moved;
 }
 
 CardinalityContext::CardinalityContext(const QuerySpec& query,

@@ -14,9 +14,11 @@
 //   * SubsetWidth — output row width, summed in ascending table order;
 //   * ScanRows    — base-table scan output, in BuildScanEntries' order
 //                   (selectivity product first, then one multiply);
-//   * per-subset error-dimension dependency masks, used by the invariant-
-//     subplan memo (enumerator) and the bound cache (dp_bound) to decide
-//     which DP subproblems are independent of the injected ESS location.
+//   * per-subset error-dimension dependency masks (SubsetDimMask): the
+//     enumerator's invariant-subplan memo caches the subsets no dimension
+//     touches, and the incremental costers (dp_bound, recost's
+//     PlanRecoster) recompute a subset or plan node only when a dimension
+//     in its mask moved since their previous call (MovedDims).
 
 #ifndef BOUQUET_OPTIMIZER_CARDINALITY_H_
 #define BOUQUET_OPTIMIZER_CARDINALITY_H_
@@ -34,6 +36,13 @@ namespace bouquet {
 /// Bitmask of base tables referenced by a plan subtree (bits index into
 /// QuerySpec::tables).
 uint64_t PlanTableMask(const PlanNode& root);
+
+/// Bitmask (bit d = error dimension d) of the dimensions whose selectivity
+/// in `sel` differs, bit for bit, from `*seen`; `*seen` is then set to the
+/// current values (it may start empty). The incremental costers (dp_bound,
+/// recost) compute everything on their first call and afterwards exactly
+/// the subsets and nodes whose SubsetDimMask meets this mask.
+uint32_t MovedDims(const SelectivityResolver& sel, DimVector* seen);
 
 /// Precomputed per-(query, catalog) cardinality machinery. Read-only after
 /// construction; safe to share across threads.

@@ -36,10 +36,7 @@ double CostModel::IndexScanCost(double table_rows, double width,
                                 double matched_rows, int num_residual_quals,
                                 double out_rows) const {
   (void)width;
-  // B-tree descent: a few random pages plus comparison CPU.
-  const double descent =
-      p_.random_page_cost +
-      4.0 * p_.cpu_operator_cost * std::log2(table_rows + 2.0);
+  const double descent = IndexDescentCost(table_rows);
   // Uncorrelated heap order: one random page per matched row (upper bound
   // used by the "hard-nut" configuration with indexes on every column).
   const double heap = matched_rows * p_.random_page_cost;
@@ -49,10 +46,14 @@ double CostModel::IndexScanCost(double table_rows, double width,
   return descent + heap + cpu + out_rows * p_.cpu_tuple_cost;
 }
 
+double CostModel::IndexDescentCost(double table_rows) const {
+  // B-tree descent: a few random pages plus comparison CPU.
+  return p_.random_page_cost +
+         4.0 * p_.cpu_operator_cost * std::log2(table_rows + 2.0);
+}
+
 double CostModel::IndexProbeCost(double inner_rows, double matches) const {
-  const double descent =
-      p_.random_page_cost +
-      4.0 * p_.cpu_operator_cost * std::log2(inner_rows + 2.0);
+  const double descent = IndexDescentCost(inner_rows);
   const double heap =
       matches * (p_.random_page_cost + p_.cpu_index_tuple_cost);
   return descent + heap;
@@ -63,9 +64,16 @@ double CostModel::IndexNLJoinCost(const InputEst& outer,
                                   double prefilter_matches,
                                   int num_inner_quals,
                                   double out_rows) const {
-  const double descent_each =
-      p_.random_page_cost +
-      4.0 * p_.cpu_operator_cost * std::log2(inner_table_rows + 2.0);
+  return IndexNLJoinCostWithDescent(outer, IndexDescentCost(inner_table_rows),
+                                    prefilter_matches, num_inner_quals,
+                                    out_rows);
+}
+
+double CostModel::IndexNLJoinCostWithDescent(const InputEst& outer,
+                                             double descent_each,
+                                             double prefilter_matches,
+                                             int num_inner_quals,
+                                             double out_rows) const {
   const double probes = outer.rows * descent_each;
   const double heap = prefilter_matches *
                       (p_.random_page_cost + p_.cpu_index_tuple_cost +
@@ -118,9 +126,17 @@ double CostModel::AggregateCost(const InputEst& input,
 double CostModel::MergeJoinCost(const InputEst& left, const InputEst& right,
                                 double out_rows, bool left_presorted,
                                 bool right_presorted) const {
-  const double sorts =
-      (left_presorted ? 0.0 : SortCost(left.rows, left.width)) +
-      (right_presorted ? 0.0 : SortCost(right.rows, right.width));
+  return MergeJoinCostWithSorts(
+      left, right, out_rows,
+      left_presorted ? 0.0 : SortCost(left.rows, left.width),
+      right_presorted ? 0.0 : SortCost(right.rows, right.width));
+}
+
+double CostModel::MergeJoinCostWithSorts(const InputEst& left,
+                                         const InputEst& right,
+                                         double out_rows, double left_sort,
+                                         double right_sort) const {
+  const double sorts = left_sort + right_sort;
   const double merge = (left.rows + right.rows) * p_.cpu_operator_cost;
   return left.cost + right.cost + sorts + merge +
          out_rows * p_.cpu_tuple_cost;

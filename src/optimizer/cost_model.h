@@ -69,6 +69,10 @@ class CostModel {
   double IndexScanCost(double table_rows, double width, double matched_rows,
                        int num_residual_quals, double out_rows) const;
 
+  /// B-tree descent into an index over `table_rows` rows: the part of an
+  /// index scan or probe that does not depend on how many rows match.
+  double IndexDescentCost(double table_rows) const;
+
   /// Cost of one index probe into a table of `inner_rows` rows returning
   /// `matches` heap rows (used per outer tuple by index nested-loop join).
   double IndexProbeCost(double inner_rows, double matches) const;
@@ -79,6 +83,12 @@ class CostModel {
   double IndexNLJoinCost(const InputEst& outer, double inner_table_rows,
                          double prefilter_matches, int num_inner_quals,
                          double out_rows) const;
+  /// The same formula with the inner index's descent precomputed
+  /// (IndexDescentCost(inner_table_rows)); IndexNLJoinCost delegates here.
+  double IndexNLJoinCostWithDescent(const InputEst& outer, double descent_each,
+                                    double prefilter_matches,
+                                    int num_inner_quals,
+                                    double out_rows) const;
 
   /// Naive nested-loop join with materialized inner.
   double MaterialNLJoinCost(const InputEst& outer, const InputEst& inner,
@@ -94,6 +104,13 @@ class CostModel {
   double MergeJoinCost(const InputEst& left, const InputEst& right,
                        double out_rows, bool left_presorted = false,
                        bool right_presorted = false) const;
+  /// The same formula with each side's sort cost supplied by the caller:
+  /// SortCost(rows, width) for a side that sorts, 0 for a presorted one.
+  /// MergeJoinCost delegates here; callers that price many merges over the
+  /// same input compute its SortCost once.
+  double MergeJoinCostWithSorts(const InputEst& left, const InputEst& right,
+                                double out_rows, double left_sort,
+                                double right_sort) const;
 
   /// External-sort cost for an input (counted inside MergeJoinCost; exposed
   /// for the executor's budget accounting).

@@ -4,80 +4,115 @@
 #include <cmath>
 #include <limits>
 
+#include "query/join_graph.h"
+
 namespace bouquet {
 
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr size_t kMaxTrackedOrders = 64;  // achievable-order mask width
 
 int EncodeOrder(int table_idx, int col_idx) {
   assert(col_idx >= 0 && col_idx < (1 << 16));
   return table_idx * (1 << 16) + col_idx;
 }
 
+// Every order the DP can manufacture, each once, in first-seen order:
+// index-scan orders on filtered indexed columns, then both key orders of
+// every join (merge outputs).
+std::vector<int> TrackedOrders(const QuerySpec& query,
+                               const CardinalityContext& card) {
+  std::vector<int> orders;
+  auto track = [&orders](int order) {
+    for (int o : orders) {
+      if (o == order) return;
+    }
+    orders.push_back(order);
+  };
+  for (int t = 0; t < card.num_tables(); ++t) {
+    const TableInfo& ti = card.table(t);
+    for (int f : card.table_filters(t)) {
+      const int col = ti.ColumnIndex(query.filters[f].column);
+      if (ti.columns[col].has_index) track(EncodeOrder(t, col));
+    }
+  }
+  for (const auto& j : query.joins) {
+    const int lt = query.TableIndex(j.left_table);
+    const int rt = query.TableIndex(j.right_table);
+    track(EncodeOrder(lt, card.table(lt).ColumnIndex(j.left_column)));
+    track(EncodeOrder(rt, card.table(rt).ColumnIndex(j.right_column)));
+  }
+  return orders;
+}
+
+int OrderBit(const std::vector<int>& orders, int order) {
+  for (size_t i = 0; i < orders.size(); ++i) {
+    if (orders[i] == order) return static_cast<int>(i);
+  }
+  return -1;
+}
+
 }  // namespace
+
+bool DpLowerBound::Supports(const QuerySpec& query, const Catalog& catalog) {
+  const CardinalityContext card(query, catalog);
+  return TrackedOrders(query, card).size() <= kMaxTrackedOrders;
+}
 
 DpLowerBound::DpLowerBound(const QuerySpec& query, const Catalog& catalog,
                            CostModel cost_model)
     : query_(&query),
       catalog_(&catalog),
       cm_(cost_model),
-      graph_(query),
       num_tables_(static_cast<int>(query.tables.size())),
       card_(query, catalog),
       resolver_(query, catalog) {
-  join_lorder_.reserve(query.joins.size());
-  join_rorder_.reserve(query.joins.size());
+  const std::vector<int> orders = TrackedOrders(query, card_);
+  supported_ = orders.size() <= kMaxTrackedOrders;
+  assert(supported_ && "achievable-order mask is 64 bits");
+  if (!supported_) return;
+
+  std::vector<int> join_lorder, join_rorder;
+  join_lorder.reserve(query.joins.size());
+  join_rorder.reserve(query.joins.size());
   for (const auto& j : query.joins) {
     const int lt = query.TableIndex(j.left_table);
     const int rt = query.TableIndex(j.right_table);
-    join_lorder_.push_back(
+    join_lorder.push_back(
         EncodeOrder(lt, card_.table(lt).ColumnIndex(j.left_column)));
-    join_rorder_.push_back(
+    join_rorder.push_back(
         EncodeOrder(rt, card_.table(rt).ColumnIndex(j.right_column)));
   }
 
-  // Track every order the DP can manufacture: index-scan orders on filtered
-  // indexed columns, plus both key orders of every join (merge outputs).
-  auto track = [&](int order) {
-    for (int o : order_ids_) {
-      if (o == order) return;
-    }
-    order_ids_.push_back(order);
-  };
   std::vector<uint64_t> scan_order_mask(num_tables_, 0);
+  table_dims_.resize(num_tables_);
+  indexed_filters_.resize(num_tables_);
+  descent_.resize(num_tables_);
   for (int t = 0; t < num_tables_; ++t) {
     const TableInfo& ti = card_.table(t);
     for (int f : card_.table_filters(t)) {
       const int col = ti.ColumnIndex(query.filters[f].column);
       if (!ti.columns[col].has_index) continue;
-      track(EncodeOrder(t, col));
+      indexed_filters_[t].push_back(f);
+      scan_order_mask[t] |= uint64_t{1}
+                            << OrderBit(orders, EncodeOrder(t, col));
     }
-  }
-  for (size_t j = 0; j < query.joins.size(); ++j) {
-    track(join_lorder_[j]);
-    track(join_rorder_[j]);
-  }
-  assert(order_ids_.size() <= 64 && "achievable-order mask is 64 bits");
-  for (int t = 0; t < num_tables_; ++t) {
-    const TableInfo& ti = card_.table(t);
-    for (int f : card_.table_filters(t)) {
-      const int col = ti.ColumnIndex(query.filters[f].column);
-      if (!ti.columns[col].has_index) continue;
-      scan_order_mask[t] |= uint64_t{1} << OrderBit(EncodeOrder(t, col));
-    }
+    table_dims_[t] = card_.SubsetDimMask(uint64_t{1} << t);
+    descent_[t] = cm_.IndexDescentCost(ti.stats.row_count);
   }
 
+  const JoinGraph graph(query);
   const uint64_t full = uint64_t{1} << num_tables_;
-  connected_.resize(full, false);
-  invariant_.resize(full, false);
-  width_.assign(full, 0.0);
-  achievable_.assign(full, 0);
   const auto& lmask = card_.join_lmasks();
   const auto& rmask = card_.join_rmasks();
+  std::vector<char> connected(full, 0);
+  // Per subset: bitmask (over `orders`) of key orders some DP entry for the
+  // subset *could* carry — overapproximated, see the header comment.
+  std::vector<uint64_t> achievable(full, 0);
+  width_.assign(full, 0.0);
   for (uint64_t s = 1; s < full; ++s) {
-    connected_[s] = graph_.IsConnectedSubset(s);
-    invariant_[s] = card_.SubsetDimMask(s) == 0;
+    connected[s] = graph.IsConnectedSubset(s) ? 1 : 0;
     width_[s] = card_.SubsetWidth(s);
     uint64_t ach = 0;
     for (uint64_t bits = s; bits != 0; bits &= bits - 1) {
@@ -85,187 +120,191 @@ DpLowerBound::DpLowerBound(const QuerySpec& query, const Catalog& catalog,
     }
     for (size_t j = 0; j < lmask.size(); ++j) {
       if ((lmask[j] & s) && (rmask[j] & s)) {
-        ach |= uint64_t{1} << OrderBit(join_lorder_[j]);
-        ach |= uint64_t{1} << OrderBit(join_rorder_[j]);
+        ach |= uint64_t{1} << OrderBit(orders, join_lorder[j]);
+        ach |= uint64_t{1} << OrderBit(orders, join_rorder[j]);
       }
     }
-    achievable_[s] = ach;
+    achievable[s] = ach;
   }
-  memo_.assign(full, kInf);
-  memo_ready_.assign(full, 0);
-  lb_.assign(full, kInf);
+
+  // Composite subsets ascend, so every split's sides precede the subset.
+  for (uint64_t s = 3; s < full; ++s) {
+    if ((s & (s - 1)) == 0 || !connected[s]) continue;
+    Composite c;
+    c.subset = s;
+    c.dims = card_.SubsetDimMask(s);
+    c.split_begin = static_cast<int>(splits_.size());
+    for (uint64_t s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
+      const uint64_t s2 = s ^ s1;
+      if (!connected[s1] || !connected[s2]) continue;
+      Split split;
+      split.s1 = s1;
+      split.s2 = s2;
+      split.cross_begin = static_cast<int>(crossings_.size());
+      const bool inner_single = (s2 & (s2 - 1)) == 0;
+      const TableInfo* inner =
+          inner_single ? &card_.table(__builtin_ctzll(s2)) : nullptr;
+      for (size_t j = 0; j < lmask.size(); ++j) {
+        const bool lr = (lmask[j] & s1) && (rmask[j] & s2);
+        const bool rl = (lmask[j] & s2) && (rmask[j] & s1);
+        if (!lr && !rl) continue;
+        const bool left_holds_l = (lmask[j] & s1) != 0;
+        const int lkey = left_holds_l ? join_lorder[j] : join_rorder[j];
+        const int rkey = left_holds_l ? join_rorder[j] : join_lorder[j];
+        Crossing x;
+        x.join = static_cast<int>(j);
+        x.left_presorted = (achievable[s1] >> OrderBit(orders, lkey)) & 1;
+        x.right_presorted = (achievable[s2] >> OrderBit(orders, rkey)) & 1;
+        x.index_nl = inner != nullptr &&
+                     inner->columns[rkey % (1 << 16)].has_index;
+        crossings_.push_back(x);
+      }
+      split.cross_end = static_cast<int>(crossings_.size());
+      const int num_cross = split.cross_end - split.cross_begin;
+      if (num_cross == 0) continue;
+      if (inner_single) {
+        split.inner_table = __builtin_ctzll(s2);
+        split.inner_quals =
+            static_cast<int>(card_.table_filters(split.inner_table).size()) +
+            num_cross - 1;
+      }
+      splits_.push_back(split);
+    }
+    c.split_end = static_cast<int>(splits_.size());
+    composites_.push_back(c);
+  }
+
   rows_.assign(full, 0.0);
-  rows_ready_.assign(full, 0);
+  lb_.assign(full, kInf);
+  sort_.assign(full, 0.0);
   tie_.assign(full, 0);
 }
 
-int DpLowerBound::OrderBit(int order) const {
-  for (size_t i = 0; i < order_ids_.size(); ++i) {
-    if (order_ids_[i] == order) return static_cast<int>(i);
+// Exact minimum over the scan alternatives BuildScanEntries enumerates, in
+// its float derivation. A bit-equal tie between two scan alternatives makes
+// the subset's best entry enumeration-order-dependent, so it marks the
+// subset ambiguous.
+void DpLowerBound::ComputeSingleton(int t) {
+  const SelectivityResolver& sel = resolver_;
+  const uint64_t s = uint64_t{1} << t;
+  const TableInfo& ti = card_.table(t);
+  const double raw = ti.stats.row_count;
+  const double width = ti.stats.row_width_bytes;
+  const int num_filters = static_cast<int>(card_.table_filters(t).size());
+  const double out_rows = card_.ScanRows(t, sel);
+  double best = cm_.SeqScanCost(raw, width, num_filters, out_rows);
+  bool amb = false;
+  for (int f : indexed_filters_[t]) {
+    const double matched = raw * sel.FilterSelectivity(f);
+    const double cost =
+        cm_.IndexScanCost(raw, width, matched, num_filters - 1, out_rows);
+    if (cost < best) {
+      best = cost;
+      amb = false;
+    } else if (std::isfinite(cost) && cost == best) {
+      amb = true;
+    }
   }
-  return -1;
+  rows_[s] = out_rows;
+  lb_[s] = best;
+  sort_[s] = cm_.SortCost(out_rows, width_[s]);
+  tie_[s] = amb ? 1 : 0;
 }
 
-double DpLowerBound::RowsFor(uint64_t s) const {
-  if ((s & (s - 1)) == 0) {
-    return card_.ScanRows(__builtin_ctzll(s), resolver_);
+void DpLowerBound::ComputeComposite(const Composite& c) {
+  const SelectivityResolver& sel = resolver_;
+  const uint64_t s = c.subset;
+  const double out_rows = card_.SubsetRows(s, sel);
+  double best = kInf;
+  // Ambiguity of the subset's minimum: set directly when two candidates
+  // attain `best` bit-equally, inherited from the winning candidate's
+  // children otherwise (a tie below propagates to every plan built on top
+  // of the tied subtree).
+  bool amb = false;
+
+  // consider(cost, child_amb): fold one candidate into (best, amb).
+  const auto consider = [&best, &amb](double cost, bool child_amb) {
+    if (cost < best) {
+      best = cost;
+      amb = child_amb;
+    } else if (std::isfinite(cost) && cost == best) {
+      amb = true;
+    }
+  };
+
+  for (int k = c.split_begin; k < c.split_end; ++k) {
+    const Split& split = splits_[k];
+    const uint64_t s1 = split.s1;
+    const uint64_t s2 = split.s2;
+    if (!std::isfinite(lb_[s1]) || !std::isfinite(lb_[s2])) continue;
+
+    const InputEst le{rows_[s1], lb_[s1], width_[s1]};
+    const InputEst re{rows_[s2], lb_[s2], width_[s2]};
+    const bool pair_amb = tie_[s1] != 0 || tie_[s2] != 0;
+
+    consider(cm_.HashJoinCost(le, re, out_rows), pair_amb);
+    consider(cm_.MaterialNLJoinCost(le, re, out_rows), pair_amb);
+    for (int x = split.cross_begin; x < split.cross_end; ++x) {
+      const Crossing& cross = crossings_[x];
+      consider(cm_.MergeJoinCostWithSorts(
+                   le, re, out_rows, cross.left_presorted ? 0.0 : sort_[s1],
+                   cross.right_presorted ? 0.0 : sort_[s2]),
+               pair_amb);
+    }
+    if (split.inner_table >= 0) {
+      const double raw = card_.table(split.inner_table).stats.row_count;
+      for (int x = split.cross_begin; x < split.cross_end; ++x) {
+        const Crossing& cross = crossings_[x];
+        if (!cross.index_nl) continue;
+        const double prefilter =
+            rows_[s1] * raw * sel.JoinSelectivity(cross.join);
+        // The index-lookup inner is rebuilt from scratch by the DP, so only
+        // the outer side's tie flag matters here.
+        consider(cm_.IndexNLJoinCostWithDescent(
+                     le, descent_[split.inner_table], prefilter,
+                     split.inner_quals, out_rows),
+                 tie_[s1] != 0);
+      }
+    }
   }
-  return card_.SubsetRows(s, resolver_);
+
+  rows_[s] = out_rows;
+  lb_[s] = best;
+  sort_[s] = cm_.SortCost(out_rows, width_[s]);
+  tie_[s] = amb ? 1 : 0;
 }
 
 double DpLowerBound::BoundAt(const DimVector& dims, bool* ambiguous) {
-  ++invocations_;
+  if (!supported_) {
+    if (ambiguous != nullptr) *ambiguous = true;
+    return kInf;
+  }
   resolver_.Inject(dims);
-  const SelectivityResolver& sel = resolver_;
+  const uint32_t moved = MovedDims(resolver_, &seen_);
   const uint64_t full = (uint64_t{1} << num_tables_) - 1;
-  const auto& join_lmask = card_.join_lmasks();
-  const auto& join_rmask = card_.join_rmasks();
 
-  // Singletons: exact minimum over the scan alternatives BuildScanEntries
-  // enumerates, in its float derivation. A bit-equal tie between two scan
-  // alternatives makes the subset's best entry enumeration-order-dependent,
-  // so it marks the subset ambiguous. Invariant subsets keep their rows /
-  // bound / tie flag across calls (selectivity-independent).
-  for (int t = 0; t < num_tables_; ++t) {
-    const uint64_t s = uint64_t{1} << t;
-    if (!invariant_[s] || !rows_ready_[s]) {
-      rows_[s] = card_.ScanRows(t, sel);
-      rows_ready_[s] = invariant_[s] ? 1 : 0;
+  // The first call computes every subset, invariant ones included.
+  if (!primed_ || moved != 0) {
+    for (int t = 0; t < num_tables_; ++t) {
+      if (primed_ && (table_dims_[t] & moved) == 0) continue;
+      ComputeSingleton(t);
+      ++subsets_computed_;
     }
-    if (invariant_[s] && memo_ready_[s]) {
-      lb_[s] = memo_[s];
-      continue;
+    for (const Composite& c : composites_) {
+      if (primed_ && (c.dims & moved) == 0) continue;
+      ComputeComposite(c);
+      ++subsets_computed_;
     }
-    const TableInfo& ti = card_.table(t);
-    const double raw = ti.stats.row_count;
-    const double width = ti.stats.row_width_bytes;
-    const std::vector<int>& filters = card_.table_filters(t);
-    const double out_rows = rows_[s];
-    double best = cm_.SeqScanCost(raw, width,
-                                  static_cast<int>(filters.size()), out_rows);
-    bool amb = false;
-    for (int f : filters) {
-      const int col = ti.ColumnIndex(query_->filters[f].column);
-      if (!ti.columns[col].has_index) continue;
-      const double matched = raw * sel.FilterSelectivity(f);
-      const double cost = cm_.IndexScanCost(
-          raw, width, matched, static_cast<int>(filters.size()) - 1,
-          out_rows);
-      if (cost < best) {
-        best = cost;
-        amb = false;
-      } else if (std::isfinite(cost) && cost == best) {
-        amb = true;
-      }
+    primed_ = true;
+    bound_ = lb_[full];
+    if (query_->aggregate.enabled && std::isfinite(bound_)) {
+      const double groups =
+          query_->aggregate.EstimateGroups(*catalog_, rows_[full]);
+      bound_ = cm_.AggregateCost({rows_[full], bound_, width_[full]}, groups);
     }
-    lb_[s] = best;
-    tie_[s] = amb ? 1 : 0;
-    if (invariant_[s]) {
-      memo_[s] = best;
-      memo_ready_[s] = 1;
-    }
-  }
-
-  for (uint64_t s = 3; s <= full; ++s) {
-    if ((s & (s - 1)) == 0) continue;
-    if (!connected_[s]) continue;
-    if (!invariant_[s] || !rows_ready_[s]) {
-      rows_[s] = card_.SubsetRows(s, sel);
-      rows_ready_[s] = invariant_[s] ? 1 : 0;
-    }
-    if (invariant_[s] && memo_ready_[s]) {
-      lb_[s] = memo_[s];
-      continue;
-    }
-    const double out_rows = rows_[s];
-    double best = kInf;
-    // Ambiguity of the subset's minimum: set directly when two candidates
-    // attain `best` bit-equally, inherited from the winning candidate's
-    // children otherwise (a tie below propagates to every plan built on
-    // top of the tied subtree).
-    bool amb = false;
-
-    // consider(c, child_amb): fold one candidate into (best, amb).
-    const auto consider = [&best, &amb](double c, bool child_amb) {
-      if (c < best) {
-        best = c;
-        amb = child_amb;
-      } else if (std::isfinite(c) && c == best) {
-        amb = true;
-      }
-    };
-
-    for (uint64_t s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
-      const uint64_t s2 = s ^ s1;
-      if (!connected_[s1] || !connected_[s2]) continue;
-      if (!std::isfinite(lb_[s1]) || !std::isfinite(lb_[s2])) continue;
-
-      int cross[64];
-      int num_cross = 0;
-      for (size_t j = 0; j < join_lmask.size(); ++j) {
-        const bool lr = (join_lmask[j] & s1) && (join_rmask[j] & s2);
-        const bool rl = (join_lmask[j] & s2) && (join_rmask[j] & s1);
-        if (lr || rl) cross[num_cross++] = static_cast<int>(j);
-      }
-      if (num_cross == 0) continue;
-
-      const InputEst le{rows_[s1], lb_[s1], width_[s1]};
-      const InputEst re{rows_[s2], lb_[s2], width_[s2]};
-      const bool pair_amb = tie_[s1] != 0 || tie_[s2] != 0;
-
-      consider(cm_.HashJoinCost(le, re, out_rows), pair_amb);
-      consider(cm_.MaterialNLJoinCost(le, re, out_rows), pair_amb);
-      for (int ci = 0; ci < num_cross; ++ci) {
-        const int j = cross[ci];
-        const bool left_holds_l = (join_lmask[j] & s1) != 0;
-        const int lkey = left_holds_l ? join_lorder_[j] : join_rorder_[j];
-        const int rkey = left_holds_l ? join_rorder_[j] : join_lorder_[j];
-        const int lbit = OrderBit(lkey);
-        const int rbit = OrderBit(rkey);
-        const bool lp = lbit >= 0 && (achievable_[s1] >> lbit) & 1;
-        const bool rp = rbit >= 0 && (achievable_[s2] >> rbit) & 1;
-        consider(cm_.MergeJoinCost(le, re, out_rows, lp, rp), pair_amb);
-      }
-      if ((s2 & (s2 - 1)) == 0) {
-        const int t2 = __builtin_ctzll(s2);
-        const TableInfo& ti = card_.table(t2);
-        const double raw = ti.stats.row_count;
-        const int inner_quals =
-            static_cast<int>(card_.table_filters(t2).size());
-        for (int ci = 0; ci < num_cross; ++ci) {
-          const int j = cross[ci];
-          const int inner_order = (join_lmask[j] & s2) != 0
-                                      ? join_lorder_[j]
-                                      : join_rorder_[j];
-          const ColumnInfo& col = ti.columns[inner_order % (1 << 16)];
-          if (!col.has_index) continue;
-          const double prefilter =
-              rows_[s1] * raw * sel.JoinSelectivity(j);
-          // The index-lookup inner is rebuilt from scratch by the DP, so
-          // only the outer side's tie flag matters here.
-          consider(cm_.IndexNLJoinCost(le, raw, prefilter,
-                                       inner_quals + num_cross - 1, out_rows),
-                   tie_[s1] != 0);
-        }
-      }
-    }
-
-    lb_[s] = best;
-    tie_[s] = amb ? 1 : 0;
-    if (invariant_[s]) {
-      memo_[s] = best;
-      memo_ready_[s] = 1;
-    }
-  }
-
-  double bound = lb_[full];
-  if (query_->aggregate.enabled && std::isfinite(bound)) {
-    const double groups =
-        query_->aggregate.EstimateGroups(*catalog_, rows_[full]);
-    bound = cm_.AggregateCost({rows_[full], bound, width_[full]}, groups);
   }
   if (ambiguous != nullptr) *ambiguous = tie_[full] != 0;
-  return bound;
+  return bound_;
 }
 
 }  // namespace bouquet

@@ -22,6 +22,23 @@
 // equality: it skips a full DP only when a recosted candidate's cost c*
 // satisfies c* <= bound, which — since bound <= opt <= c* always — can only
 // fire when all three coincide bit-for-bit.
+//
+// Incrementality. Everything that does not depend on selectivities is built
+// once per instance: the connected composite subsets in ascending order,
+// each one's splits into two connected sides that share a crossing join,
+// each crossing join's presort grants and index-NL eligibility, and each
+// table's index descent cost. Per subset the bound keeps its rows, bound,
+// sort cost and tie flag across calls. These depend on the ESS location only
+// through the error dimensions in the subset's SubsetDimMask (the selection
+// dims on its tables and the join dims inside it; the children of a split
+// are subsets, so their masks are contained in the parent's), so BoundAt
+// recomputes exactly the subsets whose mask meets the dimensions that moved
+// since the previous call, and reuses the rest bit for bit. A long-lived
+// instance therefore returns the same bits as a fresh one whatever points it
+// saw before; tests/test_recost_differential.cc checks this. Consecutive
+// points of the POSP walk differ in one dimension, so most subsets are
+// reused, and a recomputed subset prices its sort once, not once per merge
+// candidate.
 
 #ifndef BOUQUET_OPTIMIZER_DP_BOUND_H_
 #define BOUQUET_OPTIMIZER_DP_BOUND_H_
@@ -33,18 +50,25 @@
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/selectivity.h"
-#include "query/join_graph.h"
 #include "query/query_spec.h"
 
 namespace bouquet {
 
 /// Scalar optimistic-DP bound, bound to one (query, catalog, cost-model)
 /// triple. Not thread-safe: each POSP shard owns its own instance (the
-/// invariant-subset cache mutates on use).
+/// per-subset state mutates on use).
 class DpLowerBound {
  public:
+  /// Requires Supports(query, catalog); otherwise BoundAt always returns
+  /// +infinity ("never skip").
   DpLowerBound(const QuerySpec& query, const Catalog& catalog,
                CostModel cost_model);
+
+  /// False when the query names more than 64 distinct key orders (indexed
+  /// filter columns plus both sides of every join; up to 128 with the 64
+  /// joins QuerySpec::Validate accepts): the achievable-order masks are 64
+  /// bits. Callers then run one full DP per point.
+  static bool Supports(const QuerySpec& query, const Catalog& catalog);
 
   /// Lower bound on the optimizer's final plan cost (aggregate included for
   /// SPJA queries) at the given ESS location. Returns +infinity when no
@@ -62,46 +86,69 @@ class DpLowerBound {
   /// by enumeration order, which recosting cannot reproduce.
   double BoundAt(const DimVector& dims, bool* ambiguous = nullptr);
 
-  /// Number of BoundAt invocations served (stats plumbing).
-  long long invocations() const { return invocations_; }
+  /// Subset bounds computed so far, singletons included, summed over all
+  /// calls (PospStats::bound_subsets). Exact and deterministic: the first
+  /// call computes every connected subset, later calls the ones whose
+  /// SubsetDimMask meets the moved dimensions.
+  long long subsets_computed() const { return subsets_computed_; }
 
  private:
-  static constexpr int kNoOrder = -1;
+  // One way to split a composite subset into connected sides s1 and s2
+  // with at least one crossing join, in the enumerator's submask order.
+  struct Split {
+    uint64_t s1 = 0;
+    uint64_t s2 = 0;
+    int cross_begin = 0;  // [cross_begin, cross_end) into crossings_
+    int cross_end = 0;
+    int inner_table = -1;  // s2's table when s2 is a single table
+    int inner_quals = 0;   // index-NL inner quals: filters + crossings - 1
+  };
+  // A crossing join of a split and what the bound grants it.
+  struct Crossing {
+    int join = 0;
+    bool left_presorted = false;   // key order achievable inside s1
+    bool right_presorted = false;  // key order achievable inside s2
+    bool index_nl = false;  // s2 is one table indexed on this join's column
+  };
+  struct Composite {
+    uint64_t subset = 0;
+    uint32_t dims = 0;  // SubsetDimMask
+    int split_begin = 0;  // [split_begin, split_end) into splits_
+    int split_end = 0;
+  };
 
-  // Rows in the enumerator's exact derivation: ScanRows order for
-  // singletons, SubsetRows order for composites.
-  double RowsFor(uint64_t s) const;
+  void ComputeSingleton(int table);
+  void ComputeComposite(const Composite& c);
 
   const QuerySpec* query_;
   const Catalog* catalog_;
   CostModel cm_;
-  JoinGraph graph_;
   int num_tables_;
   CardinalityContext card_;
   SelectivityResolver resolver_;
-  std::vector<int> join_lorder_;
-  std::vector<int> join_rorder_;
-  std::vector<bool> connected_;   // per subset
-  std::vector<bool> invariant_;   // per subset: SubsetDimMask == 0
-  std::vector<double> width_;     // per subset, selectivity-independent
-  // Per subset: bitmask (over order_ids_) of key orders some DP entry for
-  // the subset *could* carry — overapproximated, see file comment.
-  std::vector<uint64_t> achievable_;
-  std::vector<int> order_ids_;    // encoded order -> bit, by scan of vector
-  // Scalar bound + tie-flag cache for ESS-invariant subsets (valid across
-  // points: an invariant subset's whole DP subtree is invariant).
-  std::vector<double> memo_;
-  std::vector<char> memo_ready_;
-  // Per-point scratch, sized once. rows_ entries for invariant subsets are
-  // computed once and kept (selectivity-independent). tie_[s] marks subsets
-  // whose bound minimum is not uniquely attained (see BoundAt).
-  std::vector<double> lb_;
-  std::vector<double> rows_;
-  std::vector<char> rows_ready_;
-  std::vector<char> tie_;
-  long long invocations_ = 0;
+  bool supported_ = false;
 
-  int OrderBit(int order) const;  // -1 when the order is not tracked
+  // Selectivity-independent structure, built once.
+  std::vector<uint32_t> table_dims_;  // per table: SubsetDimMask
+  std::vector<std::vector<int>> indexed_filters_;  // per table
+  std::vector<double> descent_;       // per table: IndexDescentCost
+  std::vector<Composite> composites_;  // connected, ascending
+  std::vector<Split> splits_;
+  std::vector<Crossing> crossings_;
+  std::vector<double> width_;  // per subset
+
+  // Per subset, kept across calls and recomputed when a dimension in the
+  // subset's SubsetDimMask moves. tie_[s] marks subsets whose bound minimum
+  // is not uniquely attained (see BoundAt).
+  std::vector<double> rows_;
+  std::vector<double> lb_;
+  std::vector<double> sort_;  // SortCost(rows_, width_)
+  std::vector<char> tie_;
+  double bound_ = 0.0;  // lb_ of the full set, aggregate included
+  bool primed_ = false;
+  DimVector seen_;      // dimension values of the previous call
+
+  long long subsets_computed_ = 0;
 };
 
 }  // namespace bouquet

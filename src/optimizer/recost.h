@@ -14,10 +14,24 @@
 // materialized yields bit-for-bit the cost the enumerator assigned it; the
 // incremental POSP fast path (ess/posp_generator) depends on this equality
 // and tests/test_recost_differential.cc enforces it.
+//
+// Two ways to recost, one per-node arithmetic (EstimateNode in recost.cc):
+//   * RecostPlan / RecostPlanTotal walk the tree once per call. Nothing is
+//     kept between calls; the driver and the baselines use them.
+//   * PlanRecoster flattens one plan once, fixing each node's table mask,
+//     width, error-dimension mask and index descent, and keeps each node's
+//     estimate across calls. A node depends on the ESS location only through
+//     the dimensions in its subtree's SubsetDimMask (a parent's mask contains
+//     its children's), so a call recomputes exactly the nodes whose mask
+//     meets the dimensions that moved since that recoster's previous call.
+//     The POSP fast path and the simulator's cost surfaces sweep many points
+//     per plan and use it; its costs equal RecostPlanTotal's bit for bit,
+//     whatever points it saw before.
 
 #ifndef BOUQUET_OPTIMIZER_RECOST_H_
 #define BOUQUET_OPTIMIZER_RECOST_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "optimizer/cardinality.h"
@@ -32,6 +46,14 @@ struct NodeEstimate {
   double rows = 0.0;   ///< output cardinality at the recost point
   double cost = 0.0;   ///< cumulative cost of the subtree
   double width = 0.0;  ///< bytes per output row
+};
+
+/// The selectivity-independent part of one node's estimate.
+struct NodeShape {
+  uint64_t mask = 0;        ///< base tables in the subtree
+  double width = 0.0;       ///< bytes per output row
+  double inner_rows = 0.0;  ///< index NL join: the inner table's rows
+  double descent = 0.0;     ///< index NL join: IndexDescentCost(inner_rows)
 };
 
 /// Full recosting detail.
@@ -57,6 +79,42 @@ PlanCostDetail RecostPlan(const PlanNode& root, const CostModel& cm,
                           const SelectivityResolver& sel);
 double RecostPlanTotal(const PlanNode& root, const CostModel& cm,
                        const SelectivityResolver& sel);
+
+/// Incremental recoster of one plan tree (see the file comment). Not
+/// thread-safe; the context must outlive the recoster and be built over the
+/// same (query, catalog) as every resolver passed to CostAt.
+class PlanRecoster {
+ public:
+  PlanRecoster(PlanNodeRef root, const CostModel& cm,
+               const CardinalityContext& ctx);
+
+  /// The plan's total cost under the resolver's current selectivities;
+  /// bit-identical to RecostPlanTotal(root, cm, sel, ctx).
+  double CostAt(const SelectivityResolver& sel);
+
+  /// Plan nodes computed so far, summed over calls (PospStats::recost_nodes).
+  long long nodes_computed() const { return nodes_computed_; }
+
+ private:
+  struct Node {
+    const PlanNode* plan = nullptr;
+    int left = -1;   // index into nodes_, or -1
+    int right = -1;  // index into nodes_, or -1
+    uint32_t dims = 0;  // SubsetDimMask(shape.mask)
+    NodeShape shape;
+    NodeEstimate est;
+  };
+
+  int Flatten(const PlanNode& node);
+
+  PlanNodeRef root_;
+  CostModel cm_;
+  const CardinalityContext* ctx_;
+  std::vector<Node> nodes_;  // postorder: children before parents
+  bool primed_ = false;
+  DimVector seen_;  // dimension values of the previous call
+  long long nodes_computed_ = 0;
+};
 
 }  // namespace bouquet
 

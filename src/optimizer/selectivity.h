@@ -40,6 +40,13 @@ class SelectivityResolver {
   }
   double JoinSelectivity(int join_idx) const { return join_sel_[join_idx]; }
 
+  /// Current selectivity of error dimension `dim` (its predicate's slot).
+  double DimSelectivity(int dim) const {
+    const ErrorDimension& d = query_->error_dims[dim];
+    return d.kind == DimKind::kSelection ? filter_sel_[d.predicate_index]
+                                         : join_sel_[d.predicate_index];
+  }
+
   const QuerySpec& query() const { return *query_; }
   const Catalog& catalog() const { return *catalog_; }
 

@@ -51,6 +51,11 @@ Status QuerySpec::Validate(const Catalog& catalog) const {
   if (joins.size() > 64) {
     return Status::InvalidArgument("too many join predicates (max 64)");
   }
+  // Error-dimension masks (CardinalityContext::SubsetDimMask, MovedDims)
+  // are 32 bits.
+  if (error_dims.size() > 32) {
+    return Status::InvalidArgument("too many error dimensions (max 32)");
+  }
   for (const auto& t : tables) {
     if (!catalog.HasTable(t)) {
       return Status::NotFound(StrPrintf("unknown table '%s'", t.c_str()));

@@ -94,7 +94,8 @@ struct QuerySpec {
   int TableIndex(const std::string& table) const;
 
   /// Validates internal consistency against a catalog: tables exist, columns
-  /// exist, predicate/dimension indexes in range, join graph connected.
+  /// exist, predicate/dimension indexes in range, join graph connected, and
+  /// at most 20 tables, 64 joins and 32 error dimensions.
   Status Validate(const Catalog& catalog) const;
 
   /// Dimensionality of the error-prone selectivity space.

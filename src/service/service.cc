@@ -197,6 +197,8 @@ void BouquetService::RecordCompileStatsLocked(const CompiledBouquet& c) {
   stats_.compile_seconds += c.compile_seconds;
   stats_.posp_dp_calls += c.posp_stats.dp_calls;
   stats_.posp_recost_hits += c.posp_stats.recost_hits;
+  stats_.posp_bound_subsets += c.posp_stats.bound_subsets;
+  stats_.posp_recost_nodes += c.posp_stats.recost_nodes;
   stats_.posp_memo_hits += c.posp_stats.memo_hits;
   stats_.posp_audit_checks += c.posp_stats.audit_checks;
   stats_.posp_audit_failures += c.posp_stats.audit_failures;

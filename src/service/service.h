@@ -135,10 +135,14 @@ struct ServiceStats {
   uint64_t warm_starts = 0;
   /// POSP compilation counters, summed over this service's compilations
   /// (see PospStats): full DP invocations, points served by the recost
-  /// fast path, DP subproblems reused from the invariant-subplan memo, and
+  /// fast path, the incremental layers' exact work (subset bounds computed
+  /// by DpLowerBound, plan nodes recomputed by the fast path's recosts), DP
+  /// subproblems reused from the invariant-subplan memo, and
   /// differential-audit outcomes.
   long long posp_dp_calls = 0;
   long long posp_recost_hits = 0;
+  long long posp_bound_subsets = 0;
+  long long posp_recost_nodes = 0;
   long long posp_memo_hits = 0;
   long long posp_audit_checks = 0;
   long long posp_audit_failures = 0;

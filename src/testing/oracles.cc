@@ -1,19 +1,27 @@
 #include "testing/oracles.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bouquet/bounds.h"
 #include "bouquet/serialize.h"
 #include "bouquet/simulator.h"
 #include "common/math_util.h"
+#include "common/rng.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "ess/pic.h"
 #include "ess/posp_generator.h"
 #include "feedback/warm_start.h"
+#include "optimizer/cardinality.h"
+#include "optimizer/dp_bound.h"
+#include "optimizer/recost.h"
 #include "robustness/metrics.h"
 #include "robustness/native.h"
 #include "testing/exec_differential.h"
@@ -384,6 +392,64 @@ OracleResult CheckRoundTrip(const FuzzInstance& inst, const EssGrid& grid,
   return r;
 }
 
+// Rule 1c of CheckMetamorphic. Visits up to 256 seeded points, each one
+// twice in a row half the time.
+bool CheckCostersHistoryIndependent(const FuzzInstance& inst,
+                                    const EssGrid& grid,
+                                    const PlanDiagram& diagram,
+                                    std::string* why) {
+  const CostModel cm(inst.cost_params);
+  const CardinalityContext card(inst.query, inst.catalog);
+  SelectivityResolver sel(inst.query, inst.catalog);
+  std::unique_ptr<DpLowerBound> bound;
+  if (DpLowerBound::Supports(inst.query, inst.catalog)) {
+    bound = std::make_unique<DpLowerBound>(inst.query, inst.catalog, cm);
+  }
+  std::vector<PlanRecoster> recosters;
+  for (int p = 0; p < diagram.num_plans(); ++p) {
+    recosters.emplace_back(diagram.plan(p).root, cm, card);
+  }
+  Rng rng(inst.seed ^ 0x4157A7E5ULL);
+  const uint64_t n = grid.num_points();
+  const uint64_t visits = std::min<uint64_t>(2 * n, 256);
+  uint64_t i = 0;
+  DimVector sels;
+  for (uint64_t k = 0; k < visits; ++k) {
+    if (k == 0 || rng.NextBool(0.5)) i = rng.NextUint64(n);
+    grid.SelectivityAt(i, &sels);
+    if (bound != nullptr) {
+      bool amb = false;
+      const double lb = bound->BoundAt(sels, &amb);
+      DpLowerBound fresh(inst.query, inst.catalog, cm);
+      bool fresh_amb = false;
+      const double fresh_lb = fresh.BoundAt(sels, &fresh_amb);
+      if (std::bit_cast<uint64_t>(lb) != std::bit_cast<uint64_t>(fresh_lb) ||
+          amb != fresh_amb) {
+        *why = StrPrintf("DP bound at point %llu: %a (ambiguous %d) after "
+                         "%llu calls, %a (%d) fresh",
+                         static_cast<unsigned long long>(i), lb, amb ? 1 : 0,
+                         static_cast<unsigned long long>(k), fresh_lb,
+                         fresh_amb ? 1 : 0);
+        return false;
+      }
+    }
+    sel.Inject(sels);
+    for (int p = 0; p < diagram.num_plans(); ++p) {
+      const double c = recosters[p].CostAt(sel);
+      PlanRecoster fresh(diagram.plan(p).root, cm, card);
+      const double fresh_c = fresh.CostAt(sel);
+      if (std::bit_cast<uint64_t>(c) != std::bit_cast<uint64_t>(fresh_c)) {
+        *why = StrPrintf("plan %d recost at point %llu: %a after %llu "
+                         "calls, %a fresh",
+                         p, static_cast<unsigned long long>(i), c,
+                         static_cast<unsigned long long>(k), fresh_c);
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 OracleResult CheckMetamorphic(const FuzzInstance& inst, const EssGrid& grid,
                               const PlanDiagram& diagram,
                               const PlanBouquet& bouquet,
@@ -450,6 +516,14 @@ OracleResult CheckMetamorphic(const FuzzInstance& inst, const EssGrid& grid,
             static_cast<long long>(grid.num_points())) {
       Fail(&r, "POSP point accounting broken (dp_calls + recost_hits != "
                "points)");
+      return r;
+    }
+    // Rule 1c: the incremental costers are history-independent — a
+    // long-lived DpLowerBound and per-plan PlanRecosters, driven through
+    // seeded points that jump and revisit, return the same bits as fresh
+    // instances at every point.
+    if (!CheckCostersHistoryIndependent(inst, grid, diagram, &why)) {
+      Fail(&r, "incremental coster depends on its history: " + why);
       return r;
     }
 

@@ -22,9 +22,12 @@
 //                       identity: artifacts compare bit-exact and replayed
 //                       simulations produce identical step sequences.
 //   * metamorphic     — (optional) refining the grid never increases
-//                       MSO-bound violations, and permuting thread/chunk
+//                       MSO-bound violations, permuting thread/chunk
 //                       counts in parallel POSP compilation yields
-//                       bit-identical diagrams and bouquets.
+//                       bit-identical diagrams and bouquets, and the
+//                       incremental costers (DpLowerBound, PlanRecoster)
+//                       return a fresh instance's bits whatever points
+//                       they visited before.
 //   * exec_differential — the instance's bouquet plans, materialized onto
 //                       real generated data, execute bit-identically under
 //                       the scalar and vectorized engines: same charged

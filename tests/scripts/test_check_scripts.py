@@ -73,13 +73,15 @@ class CompileSmokeTest(CheckerTestCase):
         return {"templates": [{
             "name": "posp_2d_res100",
             "points": 100,
-            "incremental": {"dp_calls": 50, "audit_failures": 0},
+            "incremental": {"dp_calls": 50, "bound_subsets": 330,
+                            "audit_failures": 0},
             "memoryless": {"dp_calls": 100},
         }]}
 
     def baseline(self):
         return {"templates": [{"name": "posp_2d_res100",
-                               "max_dp_calls": 60}]}
+                               "max_dp_calls": 60,
+                               "max_bound_subsets": 330}]}
 
     def check(self, bench, baseline):
         return run_checker("check_compile_smoke.py",
@@ -110,6 +112,18 @@ class CompileSmokeTest(CheckerTestCase):
     def test_fails_on_missing_template(self):
         self.assert_fail(self.check({"templates": []}, self.baseline()),
                          "missing")
+
+    def test_fails_on_bound_subset_regression(self):
+        bench = self.bench()
+        bench["templates"][0]["incremental"]["bound_subsets"] = 331
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "recomputes subsets no moved dimension touches")
+
+    def test_fails_when_bound_subsets_missing(self):
+        bench = self.bench()
+        del bench["templates"][0]["incremental"]["bound_subsets"]
+        self.assert_fail(self.check(bench, self.baseline()),
+                         "bound_subsets missing")
 
 
 class ServeSmokeTest(CheckerTestCase):

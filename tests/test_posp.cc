@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/str_util.h"
 #include "common/thread_pool.h"
 #include "ess/pic.h"
 #include "ess/posp_generator.h"
+#include "optimizer/cardinality.h"
+#include "optimizer/dp_bound.h"
 #include "optimizer/optimizer.h"
+#include "query/join_graph.h"
 #include "workloads/spaces.h"
 #include "workloads/tpcds.h"
 #include "workloads/tpch.h"
@@ -169,6 +176,104 @@ TEST_F(PospTest, PicSliceShape) {
     EXPECT_GE(slice[i].cost, slice[i - 1].cost * (1 - 1e-9));
     EXPECT_GT(slice[i].selectivity, slice[i - 1].selectivity);
   }
+}
+
+// The bound's exact work counter, derived independently of DpLowerBound.
+// In a serial walk BoundAt runs at every point after the first (point 0
+// has no plan to recost yet): its first call computes every connected
+// subset, singletons included, and each later call the connected subsets
+// whose SubsetDimMask meets the dimensions that moved since the previous
+// point.
+TEST(PospCountersTest, BoundSubsetsFollowTheMovedDimensions) {
+  const Catalog tpch = MakeTpchCatalog(1.0);
+  const Catalog tpcds = MakeTpcdsCatalog(100.0);
+  const NamedSpace space = GetSpace("3D_H_Q5", tpch, tpcds);
+  const EssGrid grid(space.query, {10, 10, 10});
+  PospStats stats;
+  GeneratePosp(space.query, tpch, CostParams::Postgres(), grid, PospOptions{},
+               &stats);
+
+  const JoinGraph graph(space.query);
+  const CardinalityContext card(space.query, tpch);
+  std::vector<uint32_t> masks;  // per connected subset
+  for (uint64_t s = 1; s < (uint64_t{1} << space.query.tables.size()); ++s) {
+    if (graph.IsConnectedSubset(s)) masks.push_back(card.SubsetDimMask(s));
+  }
+  long long expected = static_cast<long long>(masks.size());
+  DimVector prev, cur;
+  grid.SelectivityAt(1, &prev);
+  for (uint64_t i = 2; i < grid.num_points(); ++i) {
+    grid.SelectivityAt(i, &cur);
+    uint32_t moved = 0;
+    for (int d = 0; d < grid.dims(); ++d) {
+      if (cur[d] != prev[d]) moved |= uint32_t{1} << d;
+    }
+    for (uint32_t m : masks) expected += (m & moved) != 0 ? 1 : 0;
+    prev = cur;
+  }
+  EXPECT_EQ(stats.bound_subsets, expected);
+  // Pinned: a change here means the bound does more (or less) work per
+  // point than the moved-dimension rule allows.
+  EXPECT_EQ(stats.bound_subsets, 5434);
+  EXPECT_EQ(stats.dp_calls, 96);
+  EXPECT_GT(stats.recost_nodes, 0);
+
+  PospOptions memoryless;
+  memoryless.incremental = false;
+  PospStats mstats;
+  GeneratePosp(space.query, tpch, CostParams::Postgres(), grid, memoryless,
+               &mstats);
+  EXPECT_EQ(mstats.bound_subsets, 0);
+  EXPECT_EQ(mstats.recost_nodes, 0);
+}
+
+// Two 40-column tables joined on 33 column pairs: 66 distinct key orders,
+// more than the bound's 64-bit achievable-order masks hold. The compile
+// must run one DP per point, as incremental = false does, and emit the same
+// diagram; under UBSan with asserts off this also proves no mask shift
+// overflows.
+TEST(PospGuardTest, MoreThan64KeyOrdersCompilesWithoutTheBound) {
+  std::vector<std::string> cols;
+  for (int c = 0; c < 40; ++c) cols.push_back(StrPrintf("c%d", c));
+  Catalog catalog;
+  catalog.AddTable(Catalog::MakeTable("a", 5000, 64, cols, 500));
+  catalog.AddTable(Catalog::MakeTable("b", 8000, 64, cols, 800));
+  QuerySpec q;
+  q.name = "wide_join";
+  q.tables = {"a", "b"};
+  for (int c = 0; c < 33; ++c) {
+    q.joins.push_back(JoinPredicate{"a", cols[c], "b", cols[c], -1.0});
+  }
+  q.filters.push_back({"a", "c0", CompareOp::kLess, 7, -1.0});
+  ErrorDimension d;
+  d.kind = DimKind::kSelection;
+  d.predicate_index = 0;
+  q.error_dims.push_back(d);
+  ASSERT_TRUE(q.Validate(catalog).ok());
+  EXPECT_FALSE(DpLowerBound::Supports(q, catalog));
+
+  const EssGrid grid(q, {16});
+  PospStats stats;
+  const PlanDiagram d_inc = GeneratePosp(q, catalog, CostParams::Postgres(),
+                                         grid, PospOptions{}, &stats);
+  EXPECT_EQ(stats.dp_calls, static_cast<long long>(grid.num_points()));
+  EXPECT_EQ(stats.recost_hits, 0);
+  EXPECT_EQ(stats.bound_subsets, 0);
+  EXPECT_EQ(stats.recost_nodes, 0);
+
+  PospOptions memoryless;
+  memoryless.incremental = false;
+  const PlanDiagram d_mem =
+      GeneratePosp(q, catalog, CostParams::Postgres(), grid, memoryless);
+  ASSERT_EQ(d_inc.num_plans(), d_mem.num_plans());
+  for (uint64_t i = 0; i < grid.num_points(); ++i) {
+    EXPECT_EQ(d_inc.plan_at(i), d_mem.plan_at(i));
+    EXPECT_EQ(d_inc.cost_at(i), d_mem.cost_at(i));
+  }
+
+  // One join fewer is 64 orders, which the bound still supports.
+  q.joins.pop_back();
+  EXPECT_TRUE(DpLowerBound::Supports(q, catalog));
 }
 
 // Multi-dimensional PIC monotonicity across benchmark spaces (coarse grids).

@@ -82,6 +82,30 @@ TEST(QuerySpecTest, RejectsBadDimRange) {
   EXPECT_FALSE(q.Validate(cat).ok());
 }
 
+// Error-dimension masks are 32 bits (SubsetDimMask, MovedDims); a 33rd
+// dimension would shift past them, so Validate refuses it in every build
+// type, not only where the asserts are on.
+TEST(QuerySpecTest, RejectsMoreThan32ErrorDims) {
+  const Catalog cat = ThreeTableCatalog();
+  QuerySpec q = ChainQuery();
+  for (int i = 0; i < 32; ++i) {
+    q.filters.push_back({"a", "x", CompareOp::kLess, i, -1.0});
+    ErrorDimension d;
+    d.kind = DimKind::kSelection;
+    d.predicate_index = i;
+    q.error_dims.push_back(d);
+  }
+  EXPECT_TRUE(q.Validate(cat).ok());
+  q.filters.push_back({"a", "x", CompareOp::kLess, 32, -1.0});
+  ErrorDimension d;
+  d.kind = DimKind::kSelection;
+  d.predicate_index = 32;
+  q.error_dims.push_back(d);
+  const Status s = q.Validate(cat);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+}
+
 TEST(QuerySpecTest, RejectsEmptyQuery) {
   const Catalog cat = ThreeTableCatalog();
   QuerySpec q;

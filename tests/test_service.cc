@@ -229,6 +229,15 @@ TEST_F(ServiceTest, ServesRequestsAndReportsStatsSplit) {
   EXPECT_EQ(s.compilations, 1u);
   EXPECT_GT(s.compile_seconds, 0.0);
   EXPECT_GE(s.latency_seconds, s.execute_seconds);
+  // The compile's POSP counters arrive unchanged, the incremental layers'
+  // work counters included.
+  const PospStats& posp = res->compiled_bundle->posp_stats;
+  EXPECT_EQ(s.posp_dp_calls, posp.dp_calls);
+  EXPECT_EQ(s.posp_recost_hits, posp.recost_hits);
+  EXPECT_EQ(s.posp_bound_subsets, posp.bound_subsets);
+  EXPECT_EQ(s.posp_recost_nodes, posp.recost_nodes);
+  EXPECT_GT(s.posp_bound_subsets, 0);
+  EXPECT_GT(s.posp_recost_nodes, 0);
 }
 
 TEST_F(ServiceTest, RejectsMalformedRequests) {
