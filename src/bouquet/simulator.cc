@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace bouquet {
 
@@ -31,20 +32,28 @@ BouquetSimulator::BouquetSimulator(const PlanBouquet& bouquet,
   const uint64_t n = grid.num_points();
   // Cost surfaces in one linear sweep: consecutive points move one
   // dimension, so each plan's recoster recomputes only the nodes above it.
+  // The plans share one row table over their join subsets, refreshed once
+  // per point.
   const CardinalityContext card(opt->query(), opt->catalog());
   SelectivityResolver sel(opt->query(), opt->catalog());
+  std::vector<uint64_t> join_subsets;
+  for (int d = 0; d < index_.num_plans(); ++d) {
+    AppendJoinSubsets(*diagram.plan(index_.plan_id(d)).root, &join_subsets);
+  }
+  SubsetRowTable rows(card, std::move(join_subsets));
   std::vector<PlanRecoster> recosters;
   recosters.reserve(index_.num_plans());
   est_cost_.resize(index_.num_plans());
   for (int d = 0; d < index_.num_plans(); ++d) {
     recosters.emplace_back(diagram.plan(index_.plan_id(d)).root,
-                           opt->cost_model(), card);
+                           opt->cost_model(), card, rows);
     est_cost_[d].resize(n);
   }
   DimVector dims;
   for (uint64_t i = 0; i < n; ++i) {
     grid.SelectivityAt(i, &dims);
     sel.Inject(dims);
+    rows.Refresh(sel);
     for (int d = 0; d < index_.num_plans(); ++d) {
       est_cost_[d][i] = recosters[d].CostAt(sel);
     }

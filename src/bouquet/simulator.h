@@ -67,7 +67,8 @@ struct SimOptions {
 
 /// Simulator bound to a bouquet + diagram. Precomputes the cost surface of
 /// every bouquet plan over the full grid (one linear sweep of incremental
-/// PlanRecosters) and the bouquet's ContourIndex, so individual runs are
+/// PlanRecosters sharing one row table over the plans' join subsets) and
+/// the bouquet's ContourIndex, so individual runs are
 /// grid-free lookups, and a run's steps allocate nothing beyond the steps
 /// and q_run trace it returns.
 ///

@@ -69,7 +69,9 @@ void RunShard(const QuerySpec& query, const Catalog& catalog,
     bound = std::make_unique<DpLowerBound>(query, catalog, CostModel(params));
   }
   // The fast path's recosts: one incremental recoster per interned plan,
-  // over a shard-local resolver injected once per point.
+  // over a shard-local resolver injected once per point. Their join rows
+  // come from the bound's row table, current once BoundAt has run at the
+  // point.
   const CardinalityContext card(query, catalog);
   SelectivityResolver sel(query, catalog);
   std::vector<PlanRecoster> recosters;
@@ -86,8 +88,15 @@ void RunShard(const QuerySpec& query, const Catalog& catalog,
     return id;
   };
 
+  // Candidate order: the previous point's winner, then the winners one
+  // step back on each axis, then every other plan, newest first (ids follow
+  // first discovery along the walk, so a newer plan was found nearer).
+  // tried[p] == i marks plan p as already recosted at point i.
+  int last_hit = 0;
+  std::vector<uint64_t> tried;
+  std::vector<int> coords(grid.dims());
+
   DimVector sels;
-  size_t last_hit = 0;  // previous point's winner: the best first guess
   for (uint64_t i = begin; i < end; ++i) {
     grid.SelectivityAt(i, &sels);
     int id = -1;
@@ -96,29 +105,50 @@ void RunShard(const QuerySpec& query, const Catalog& catalog,
     if (bound != nullptr && !out->local_plans.empty()) {
       // Fast path: certify a known plan optimal without running the DP.
       // bound <= optimal <= recost(P) holds for every plan P, so
-      // recost(P) <= bound forces all three equal bit-for-bit — and when
-      // the bound's minimum was uniquely attained, the optimum is unique,
-      // so P is *the* plan the DP would emit. Exact-cost ties (which the
-      // DP breaks by enumeration order, unreproducible by recosting) mark
-      // the bound ambiguous and the point takes the full DP. Plan choice
-      // is piecewise-constant over the grid, so the previous point's
-      // winner almost always hits on the first recost.
+      // recost(P) <= bound forces all three equal bit-for-bit; P is *the*
+      // plan the DP would emit when, in addition, each of its subset
+      // entries is tight and untied in the bound (DpLowerBound::TightAt;
+      // see the header). Exact-cost ties, which the DP breaks by
+      // enumeration order, mark the bound ambiguous and the point takes
+      // the full DP. Plan choice is piecewise-constant over the grid, so
+      // the previous point's winner almost always hits on the first
+      // recost. When it does not (a region boundary, or the start of a new
+      // row), the plan of the point one step back on another axis usually
+      // does.
       bool ambiguous = false;
       const double lb = bound->BoundAt(sels, &ambiguous);
       if (!ambiguous && std::isfinite(lb)) {
         const size_t k = out->local_plans.size();
         while (recosters.size() < k) {
           recosters.emplace_back(out->local_plans[recosters.size()].root,
-                                 opt.cost_model(), card);
+                                 opt.cost_model(), card,
+                                 bound->subset_rows());
         }
+        tried.resize(k, end);
         sel.Inject(sels);
-        for (size_t step = 0; step < k; ++step) {
-          const size_t p = (last_hit + step) % k;
+        auto certifies = [&](int p) {
+          if (tried[p] == i) return false;
+          tried[p] = i;
           const double c = recosters[p].CostAt(sel);
-          if (c <= lb) {
-            id = static_cast<int>(p);
-            cost = c;
-            break;
+          if (c > lb || !recosters[p].AllEntries([&](uint64_t m, double v) {
+                return bound->TightAt(m, v);
+              })) {
+            return false;
+          }
+          id = p;
+          cost = c;
+          return true;
+        };
+        if (!certifies(last_hit)) {
+          // Nearest first: the last axis varies fastest.
+          grid.PointAt(i, coords.data());
+          for (int d = grid.dims() - 1; d >= 0 && id < 0; --d) {
+            if (coords[d] == 0) continue;
+            const uint64_t back = grid.LinearWithDim(i, d, coords[d] - 1);
+            if (back >= begin) certifies(out->local_plan[back - begin]);
+          }
+          for (size_t p = k; p-- > 0 && id < 0;) {
+            certifies(static_cast<int>(p));
           }
         }
       }
@@ -146,7 +176,7 @@ void RunShard(const QuerySpec& query, const Catalog& catalog,
     }
     out->local_plan[i - begin] = id;
     out->cost[i - begin] = cost;
-    last_hit = static_cast<size_t>(id);
+    last_hit = id;
   }
   out->memo_hits = opt.memo_hits();
   if (bound != nullptr) out->bound_subsets = bound->subsets_computed();

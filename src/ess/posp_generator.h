@@ -15,25 +15,33 @@
 // redundant — a handful of plans tile huge grid regions (Harish et al.,
 // VLDB'07) — so each shard walks its points in linear (axis-major) order and,
 // before running the full DP, recosts its already-materialized winner plans
-// at the new point. When some candidate's recost c* <= the optimistic scalar
-// DP bound (optimizer/dp_bound), the point is served without a DP call.
+// at the new point, in the order most likely to hit: the previous point's
+// winner, the winners one step back on each axis, then the rest, newest
+// plan first. A candidate is served without a DP call when its recost c* <=
+// the optimistic scalar DP bound (optimizer/dp_bound) and every subset entry
+// of the candidate (each scan and join the DP would keep) costs exactly the
+// bound's minimum for that subset, attained by no other bound candidate.
 // Both sides of that test are incremental: consecutive points of the walk
 // differ in one dimension, the shard's DpLowerBound recomputes only the
 // subsets that dimension touches, and each interned plan's PlanRecoster
-// (optimizer/recost) only the nodes it touches; PospStats::bound_subsets and
-// recost_nodes count that work exactly. The test itself is exact:
-// bound <= optimal <= c* always holds (additive cost formulas are
-// float-monotone in child costs and recosting reproduces the enumerator's
-// exact float derivation), so the comparison can only succeed when all three
-// coincide bit-for-bit. The bound additionally reports whether its minimum
-// was uniquely attained; ambiguous points — where structurally different
-// plans tie at the optimum bit-exactly and the DP's argmin depends on its
-// enumeration order — always take the full DP. Skipped points reuse a
-// plan the shard's DP already materialized, so signature interning order —
-// first DP occurrence in linear order — is unchanged, and the emitted
-// diagram is byte-identical to a memoryless run. A seeded deterministic
-// audit additionally re-runs the full DP on a random sample of skipped
-// points and counts disagreements (none expected; see PospStats).
+// (optimizer/recost) only the nodes it touches, reading its join rows from
+// the bound's row table; PospStats::bound_subsets and recost_nodes count
+// that work exactly. The test itself is exact: bound <= optimal <= c*
+// always holds (additive cost formulas are float-monotone in child costs and
+// recosting reproduces the enumerator's exact float derivation), so the
+// root comparison succeeds only when all three coincide bit-for-bit. That
+// alone does not identify the DP's plan: a plan whose subtree costs more
+// than the DP's can still round to the same total. Tightness at every
+// subset does: bottom-up, each of the candidate's entries is then the DP's
+// cheapest for its subset, and any other DP candidate reaching that cost
+// would tie the bound there. Points where the bound's own minimum is tied
+// (ambiguous) — structurally different plans at the same cost, which the DP
+// breaks by enumeration order — always take the full DP. Skipped points
+// reuse a plan the shard's DP already materialized, so signature interning
+// order — first DP occurrence in linear order — is unchanged, and the
+// emitted diagram is byte-identical to a memoryless run. A seeded
+// deterministic audit additionally re-runs the full DP on a random sample of
+// skipped points and counts disagreements (none expected; see PospStats).
 //
 // Thread-safety: the query, catalog, and grid are only read; every shard
 // owns a private QueryOptimizer, DP bound and recosters; the diagram is

@@ -1,16 +1,29 @@
 #include "optimizer/cardinality.h"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 namespace bouquet {
 
-uint64_t PlanTableMask(const PlanNode& root) {
-  if (root.is_scan()) return uint64_t{1} << root.table_idx;
+namespace {
+
+// Returns the subtree's table mask.
+uint64_t AppendJoinSubsetsRec(const PlanNode& node,
+                              std::vector<uint64_t>* out) {
+  if (node.is_scan()) return uint64_t{1} << node.table_idx;
   uint64_t mask = 0;
-  if (root.left) mask |= PlanTableMask(*root.left);
-  if (root.right) mask |= PlanTableMask(*root.right);
+  if (node.left) mask |= AppendJoinSubsetsRec(*node.left, out);
+  if (node.right) mask |= AppendJoinSubsetsRec(*node.right, out);
+  if (node.is_join()) out->push_back(mask);
   return mask;
+}
+
+}  // namespace
+
+void AppendJoinSubsets(const PlanNode& root, std::vector<uint64_t>* out) {
+  AppendJoinSubsetsRec(root, out);
 }
 
 uint32_t MovedDims(const SelectivityResolver& sel, DimVector* seen) {
@@ -101,6 +114,34 @@ uint32_t CardinalityContext::SubsetDimMask(uint64_t subset) const {
     }
   }
   return mask;
+}
+
+SubsetRowTable::SubsetRowTable(const CardinalityContext& ctx,
+                               std::vector<uint64_t> subsets)
+    : ctx_(&ctx), subsets_(std::move(subsets)) {
+  std::sort(subsets_.begin(), subsets_.end());
+  subsets_.erase(std::unique(subsets_.begin(), subsets_.end()),
+                 subsets_.end());
+  dims_.reserve(subsets_.size());
+  for (uint64_t s : subsets_) dims_.push_back(ctx.SubsetDimMask(s));
+  rows_.assign(subsets_.size(), 0.0);
+}
+
+int SubsetRowTable::Slot(uint64_t subset) const {
+  const auto it = std::lower_bound(subsets_.begin(), subsets_.end(), subset);
+  if (it == subsets_.end() || *it != subset) return -1;
+  return static_cast<int>(it - subsets_.begin());
+}
+
+uint32_t SubsetRowTable::Refresh(const SelectivityResolver& sel) {
+  const uint32_t moved = MovedDims(sel, &seen_);
+  if (primed_ && moved == 0) return moved;
+  for (size_t k = 0; k < subsets_.size(); ++k) {
+    if (primed_ && (dims_[k] & moved) == 0) continue;
+    rows_[k] = ctx_->SubsetRows(subsets_[k], sel);
+  }
+  primed_ = true;
+  return moved;
 }
 
 }  // namespace bouquet

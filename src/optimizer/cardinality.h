@@ -19,6 +19,12 @@
 //     touches, and the incremental costers (dp_bound, recost's
 //     PlanRecoster) recompute a subset or plan node only when a dimension
 //     in its mask moved since their previous call (MovedDims).
+//
+// SubsetRowTable keeps SubsetRows for a fixed set of join subsets at the
+// current point, so every coster at that point reads one shared value per
+// subset instead of each recomputing it (the DP bound owns one over its
+// connected composite subsets; the simulator's cost sweep one over its
+// plans' join subsets).
 
 #ifndef BOUQUET_OPTIMIZER_CARDINALITY_H_
 #define BOUQUET_OPTIMIZER_CARDINALITY_H_
@@ -33,9 +39,10 @@
 
 namespace bouquet {
 
-/// Bitmask of base tables referenced by a plan subtree (bits index into
-/// QuerySpec::tables).
-uint64_t PlanTableMask(const PlanNode& root);
+/// Appends the table mask (bits index into QuerySpec::tables) of every join
+/// node of the plan to `out`: the subsets a SubsetRowTable must hold for a
+/// PlanRecoster of that plan.
+void AppendJoinSubsets(const PlanNode& root, std::vector<uint64_t>* out);
 
 /// Bitmask (bit d = error dimension d) of the dimensions whose selectivity
 /// in `sel` differs, bit for bit, from `*seen`; `*seen` is then set to the
@@ -88,6 +95,36 @@ class CardinalityContext {
   // subset for the dimension to affect it (one bit for selection dims, two
   // for join dims).
   std::vector<uint64_t> dim_masks_;
+};
+
+/// SubsetRows of a fixed set of relation subsets at the current ESS point.
+/// Refresh brings it to a new point incrementally: a subset's rows change
+/// only when a dimension in its SubsetDimMask moves. Not thread-safe.
+class SubsetRowTable {
+ public:
+  /// Table over `subsets` (any order; duplicates are dropped). Slots follow
+  /// ascending subset order. The context must outlive the table.
+  SubsetRowTable(const CardinalityContext& ctx, std::vector<uint64_t> subsets);
+
+  /// Slot of `subset`, or -1 when the table does not hold it.
+  int Slot(uint64_t subset) const;
+  int size() const { return static_cast<int>(subsets_.size()); }
+
+  /// Recomputes the rows of every subset whose SubsetDimMask meets the
+  /// dimensions that moved since the previous call (every subset on the
+  /// first call) and returns the moved mask, as MovedDims does.
+  uint32_t Refresh(const SelectivityResolver& sel);
+
+  /// The slot's rows at the point of the last Refresh.
+  double rows(int slot) const { return rows_[slot]; }
+
+ private:
+  const CardinalityContext* ctx_;
+  std::vector<uint64_t> subsets_;  // ascending
+  std::vector<uint32_t> dims_;     // per slot: SubsetDimMask
+  std::vector<double> rows_;       // per slot
+  bool primed_ = false;
+  DimVector seen_;  // dimension values of the previous call
 };
 
 }  // namespace bouquet

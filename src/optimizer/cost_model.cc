@@ -19,11 +19,6 @@ CostParams CostParams::Commercial() {
   return p;
 }
 
-double CostModel::Pages(double rows, double width) const {
-  const double pages = rows * width / p_.page_size_bytes;
-  return pages < 1.0 ? 1.0 : pages;
-}
-
 double CostModel::SeqScanCost(double table_rows, double width, int num_quals,
                               double out_rows) const {
   const double io = p_.seq_page_cost * Pages(table_rows, width);
@@ -59,52 +54,6 @@ double CostModel::IndexProbeCost(double inner_rows, double matches) const {
   return descent + heap;
 }
 
-double CostModel::IndexNLJoinCost(const InputEst& outer,
-                                  double inner_table_rows,
-                                  double prefilter_matches,
-                                  int num_inner_quals,
-                                  double out_rows) const {
-  return IndexNLJoinCostWithDescent(outer, IndexDescentCost(inner_table_rows),
-                                    prefilter_matches, num_inner_quals,
-                                    out_rows);
-}
-
-double CostModel::IndexNLJoinCostWithDescent(const InputEst& outer,
-                                             double descent_each,
-                                             double prefilter_matches,
-                                             int num_inner_quals,
-                                             double out_rows) const {
-  const double probes = outer.rows * descent_each;
-  const double heap = prefilter_matches *
-                      (p_.random_page_cost + p_.cpu_index_tuple_cost +
-                       num_inner_quals * p_.cpu_operator_cost);
-  return outer.cost + probes + heap + out_rows * p_.cpu_tuple_cost;
-}
-
-double CostModel::MaterialNLJoinCost(const InputEst& outer,
-                                     const InputEst& inner,
-                                     double out_rows) const {
-  const double materialize = inner.rows * p_.cpu_tuple_cost;
-  const double scan_inner_per_outer = inner.rows * p_.cpu_operator_cost;
-  return outer.cost + inner.cost + materialize +
-         outer.rows * scan_inner_per_outer + out_rows * p_.cpu_tuple_cost;
-}
-
-double CostModel::HashJoinCost(const InputEst& outer, const InputEst& inner,
-                               double out_rows) const {
-  const double hash_op = p_.hash_op_factor * p_.cpu_operator_cost;
-  const double build = inner.rows * (hash_op + p_.cpu_tuple_cost);
-  const double probe = outer.rows * hash_op;
-  double spill = 0.0;
-  if (inner.rows * inner.width > p_.work_mem_bytes) {
-    // Multi-batch: write and re-read both sides once.
-    spill = 2.0 * p_.seq_page_cost *
-            (Pages(inner.rows, inner.width) + Pages(outer.rows, outer.width));
-  }
-  return outer.cost + inner.cost + build + probe + spill +
-         out_rows * p_.cpu_tuple_cost;
-}
-
 double CostModel::SortCost(double rows, double width) const {
   if (rows < 2.0) return p_.cpu_operator_cost;
   const double cpu = 2.0 * rows * std::log2(rows) * p_.cpu_operator_cost;
@@ -130,16 +79,6 @@ double CostModel::MergeJoinCost(const InputEst& left, const InputEst& right,
       left, right, out_rows,
       left_presorted ? 0.0 : SortCost(left.rows, left.width),
       right_presorted ? 0.0 : SortCost(right.rows, right.width));
-}
-
-double CostModel::MergeJoinCostWithSorts(const InputEst& left,
-                                         const InputEst& right,
-                                         double out_rows, double left_sort,
-                                         double right_sort) const {
-  const double sorts = left_sort + right_sort;
-  const double merge = (left.rows + right.rows) * p_.cpu_operator_cost;
-  return left.cost + right.cost + sorts + merge +
-         out_rows * p_.cpu_tuple_cost;
 }
 
 }  // namespace bouquet

@@ -10,6 +10,14 @@
 // All formulas are monotone non-decreasing in input cardinalities, which is
 // what gives the engine the Plan Cost Monotonicity (PCM) property the bouquet
 // technique assumes (Section 2); tests/optimizer assert this by sweeping.
+//
+// The formulas the DP, its bound and the recoster price once per join
+// candidate (Pages, the four join costs with their precomputed parts) are
+// defined inline below. Every call site must round each one identically:
+// the POSP fast path certifies a plan only when the bound, the DP and the
+// recost agree bit for bit. The library is therefore built with
+// -ffp-contract=off (src/CMakeLists.txt), so no call site may fuse an
+// a*b+c that another rounds twice.
 
 #ifndef BOUQUET_OPTIMIZER_COST_MODEL_H_
 #define BOUQUET_OPTIMIZER_COST_MODEL_H_
@@ -78,13 +86,10 @@ class CostModel {
   double IndexProbeCost(double inner_rows, double matches) const;
 
   /// Index nested-loop join: outer streamed, one probe per outer row.
-  /// `prefilter_matches` = outer.rows * inner_table_rows * join_sel (heap
-  /// rows fetched before residual inner filters).
-  double IndexNLJoinCost(const InputEst& outer, double inner_table_rows,
-                         double prefilter_matches, int num_inner_quals,
-                         double out_rows) const;
-  /// The same formula with the inner index's descent precomputed
-  /// (IndexDescentCost(inner_table_rows)); IndexNLJoinCost delegates here.
+  /// `descent_each` = IndexDescentCost(inner_table_rows), the per-probe
+  /// descent into the inner index; `prefilter_matches` = outer.rows *
+  /// inner_table_rows * join_sel (heap rows fetched before residual inner
+  /// filters).
   double IndexNLJoinCostWithDescent(const InputEst& outer, double descent_each,
                                     double prefilter_matches,
                                     int num_inner_quals,
@@ -122,6 +127,57 @@ class CostModel {
  private:
   CostParams p_;
 };
+
+inline double CostModel::Pages(double rows, double width) const {
+  const double pages = rows * width / p_.page_size_bytes;
+  return pages < 1.0 ? 1.0 : pages;
+}
+
+inline double CostModel::IndexNLJoinCostWithDescent(
+    const InputEst& outer, double descent_each, double prefilter_matches,
+    int num_inner_quals, double out_rows) const {
+  const double probes = outer.rows * descent_each;
+  const double heap = prefilter_matches *
+                      (p_.random_page_cost + p_.cpu_index_tuple_cost +
+                       num_inner_quals * p_.cpu_operator_cost);
+  return outer.cost + probes + heap + out_rows * p_.cpu_tuple_cost;
+}
+
+inline double CostModel::MaterialNLJoinCost(const InputEst& outer,
+                                            const InputEst& inner,
+                                            double out_rows) const {
+  const double materialize = inner.rows * p_.cpu_tuple_cost;
+  const double scan_inner_per_outer = inner.rows * p_.cpu_operator_cost;
+  return outer.cost + inner.cost + materialize +
+         outer.rows * scan_inner_per_outer + out_rows * p_.cpu_tuple_cost;
+}
+
+inline double CostModel::HashJoinCost(const InputEst& outer,
+                                      const InputEst& inner,
+                                      double out_rows) const {
+  const double hash_op = p_.hash_op_factor * p_.cpu_operator_cost;
+  const double build = inner.rows * (hash_op + p_.cpu_tuple_cost);
+  const double probe = outer.rows * hash_op;
+  double spill = 0.0;
+  if (inner.rows * inner.width > p_.work_mem_bytes) {
+    // Multi-batch: write and re-read both sides once.
+    spill = 2.0 * p_.seq_page_cost *
+            (Pages(inner.rows, inner.width) + Pages(outer.rows, outer.width));
+  }
+  return outer.cost + inner.cost + build + probe + spill +
+         out_rows * p_.cpu_tuple_cost;
+}
+
+inline double CostModel::MergeJoinCostWithSorts(const InputEst& left,
+                                                const InputEst& right,
+                                                double out_rows,
+                                                double left_sort,
+                                                double right_sort) const {
+  const double sorts = left_sort + right_sort;
+  const double merge = (left.rows + right.rows) * p_.cpu_operator_cost;
+  return left.cost + right.cost + sorts + merge +
+         out_rows * p_.cpu_tuple_cost;
+}
 
 }  // namespace bouquet
 

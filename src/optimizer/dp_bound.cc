@@ -3,8 +3,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-
-#include "query/join_graph.h"
+#include <utility>
 
 namespace bouquet {
 
@@ -12,11 +11,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr size_t kMaxTrackedOrders = 64;  // achievable-order mask width
-
-int EncodeOrder(int table_idx, int col_idx) {
-  assert(col_idx >= 0 && col_idx < (1 << 16));
-  return table_idx * (1 << 16) + col_idx;
-}
 
 // Every order the DP can manufacture, each once, in first-seen order:
 // index-scan orders on filtered indexed columns, then both key orders of
@@ -67,24 +61,14 @@ DpLowerBound::DpLowerBound(const QuerySpec& query, const Catalog& catalog,
       cm_(cost_model),
       num_tables_(static_cast<int>(query.tables.size())),
       card_(query, catalog),
-      resolver_(query, catalog) {
+      resolver_(query, catalog),
+      subset_rows_(card_, {}) {
   const std::vector<int> orders = TrackedOrders(query, card_);
   supported_ = orders.size() <= kMaxTrackedOrders;
   assert(supported_ && "achievable-order mask is 64 bits");
   if (!supported_) return;
 
-  std::vector<int> join_lorder, join_rorder;
-  join_lorder.reserve(query.joins.size());
-  join_rorder.reserve(query.joins.size());
-  for (const auto& j : query.joins) {
-    const int lt = query.TableIndex(j.left_table);
-    const int rt = query.TableIndex(j.right_table);
-    join_lorder.push_back(
-        EncodeOrder(lt, card_.table(lt).ColumnIndex(j.left_column)));
-    join_rorder.push_back(
-        EncodeOrder(rt, card_.table(rt).ColumnIndex(j.right_column)));
-  }
-
+  splits_ = BuildSplitList(card_);
   std::vector<uint64_t> scan_order_mask(num_tables_, 0);
   table_dims_.resize(num_tables_);
   indexed_filters_.resize(num_tables_);
@@ -102,17 +86,14 @@ DpLowerBound::DpLowerBound(const QuerySpec& query, const Catalog& catalog,
     descent_[t] = cm_.IndexDescentCost(ti.stats.row_count);
   }
 
-  const JoinGraph graph(query);
   const uint64_t full = uint64_t{1} << num_tables_;
   const auto& lmask = card_.join_lmasks();
   const auto& rmask = card_.join_rmasks();
-  std::vector<char> connected(full, 0);
   // Per subset: bitmask (over `orders`) of key orders some DP entry for the
   // subset *could* carry — overapproximated, see the header comment.
   std::vector<uint64_t> achievable(full, 0);
   width_.assign(full, 0.0);
   for (uint64_t s = 1; s < full; ++s) {
-    connected[s] = graph.IsConnectedSubset(s) ? 1 : 0;
     width_[s] = card_.SubsetWidth(s);
     uint64_t ach = 0;
     for (uint64_t bits = s; bits != 0; bits &= bits - 1) {
@@ -120,59 +101,31 @@ DpLowerBound::DpLowerBound(const QuerySpec& query, const Catalog& catalog,
     }
     for (size_t j = 0; j < lmask.size(); ++j) {
       if ((lmask[j] & s) && (rmask[j] & s)) {
-        ach |= uint64_t{1} << OrderBit(orders, join_lorder[j]);
-        ach |= uint64_t{1} << OrderBit(orders, join_rorder[j]);
+        ach |= uint64_t{1} << OrderBit(orders, splits_.join_left_key[j]);
+        ach |= uint64_t{1} << OrderBit(orders, splits_.join_right_key[j]);
       }
     }
     achievable[s] = ach;
   }
 
-  // Composite subsets ascend, so every split's sides precede the subset.
-  for (uint64_t s = 3; s < full; ++s) {
-    if ((s & (s - 1)) == 0 || !connected[s]) continue;
-    Composite c;
-    c.subset = s;
-    c.dims = card_.SubsetDimMask(s);
-    c.split_begin = static_cast<int>(splits_.size());
-    for (uint64_t s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
-      const uint64_t s2 = s ^ s1;
-      if (!connected[s1] || !connected[s2]) continue;
-      Split split;
-      split.s1 = s1;
-      split.s2 = s2;
-      split.cross_begin = static_cast<int>(crossings_.size());
-      const bool inner_single = (s2 & (s2 - 1)) == 0;
-      const TableInfo* inner =
-          inner_single ? &card_.table(__builtin_ctzll(s2)) : nullptr;
-      for (size_t j = 0; j < lmask.size(); ++j) {
-        const bool lr = (lmask[j] & s1) && (rmask[j] & s2);
-        const bool rl = (lmask[j] & s2) && (rmask[j] & s1);
-        if (!lr && !rl) continue;
-        const bool left_holds_l = (lmask[j] & s1) != 0;
-        const int lkey = left_holds_l ? join_lorder[j] : join_rorder[j];
-        const int rkey = left_holds_l ? join_rorder[j] : join_lorder[j];
-        Crossing x;
-        x.join = static_cast<int>(j);
-        x.left_presorted = (achievable[s1] >> OrderBit(orders, lkey)) & 1;
-        x.right_presorted = (achievable[s2] >> OrderBit(orders, rkey)) & 1;
-        x.index_nl = inner != nullptr &&
-                     inner->columns[rkey % (1 << 16)].has_index;
-        crossings_.push_back(x);
-      }
-      split.cross_end = static_cast<int>(crossings_.size());
-      const int num_cross = split.cross_end - split.cross_begin;
-      if (num_cross == 0) continue;
-      if (inner_single) {
-        split.inner_table = __builtin_ctzll(s2);
-        split.inner_quals =
-            static_cast<int>(card_.table_filters(split.inner_table).size()) +
-            num_cross - 1;
-      }
-      splits_.push_back(split);
+  presort_.resize(splits_.crossings.size());
+  for (const SplitList::Split& split : splits_.splits) {
+    for (int x = split.cross_begin; x < split.cross_end; ++x) {
+      const SplitList::Crossing& cross = splits_.crossings[x];
+      presort_[x].left =
+          (achievable[split.s1] >> OrderBit(orders, cross.left_key)) & 1;
+      presort_[x].right =
+          (achievable[split.s2] >> OrderBit(orders, cross.right_key)) & 1;
     }
-    c.split_end = static_cast<int>(splits_.size());
-    composites_.push_back(c);
   }
+  std::vector<uint64_t> composites;
+  composites.reserve(splits_.composites.size());
+  for (const SplitList::Composite& c : splits_.composites) {
+    composites.push_back(c.subset);
+  }
+  // Composites ascend, so composite k sits in slot k.
+  subset_rows_ = SubsetRowTable(card_, std::move(composites));
+  assert(subset_rows_.size() == static_cast<int>(splits_.composites.size()));
 
   rows_.assign(full, 0.0);
   lb_.assign(full, kInf);
@@ -211,10 +164,11 @@ void DpLowerBound::ComputeSingleton(int t) {
   tie_[s] = amb ? 1 : 0;
 }
 
-void DpLowerBound::ComputeComposite(const Composite& c) {
+void DpLowerBound::ComputeComposite(int slot) {
   const SelectivityResolver& sel = resolver_;
+  const SplitList::Composite& c = splits_.composites[slot];
   const uint64_t s = c.subset;
-  const double out_rows = card_.SubsetRows(s, sel);
+  const double out_rows = subset_rows_.rows(slot);
   double best = kInf;
   // Ambiguity of the subset's minimum: set directly when two candidates
   // attain `best` bit-equally, inherited from the winning candidate's
@@ -233,7 +187,7 @@ void DpLowerBound::ComputeComposite(const Composite& c) {
   };
 
   for (int k = c.split_begin; k < c.split_end; ++k) {
-    const Split& split = splits_[k];
+    const SplitList::Split& split = splits_.splits[k];
     const uint64_t s1 = split.s1;
     const uint64_t s2 = split.s2;
     if (!std::isfinite(lb_[s1]) || !std::isfinite(lb_[s2])) continue;
@@ -245,16 +199,15 @@ void DpLowerBound::ComputeComposite(const Composite& c) {
     consider(cm_.HashJoinCost(le, re, out_rows), pair_amb);
     consider(cm_.MaterialNLJoinCost(le, re, out_rows), pair_amb);
     for (int x = split.cross_begin; x < split.cross_end; ++x) {
-      const Crossing& cross = crossings_[x];
       consider(cm_.MergeJoinCostWithSorts(
-                   le, re, out_rows, cross.left_presorted ? 0.0 : sort_[s1],
-                   cross.right_presorted ? 0.0 : sort_[s2]),
+                   le, re, out_rows, presort_[x].left ? 0.0 : sort_[s1],
+                   presort_[x].right ? 0.0 : sort_[s2]),
                pair_amb);
     }
     if (split.inner_table >= 0) {
       const double raw = card_.table(split.inner_table).stats.row_count;
       for (int x = split.cross_begin; x < split.cross_end; ++x) {
-        const Crossing& cross = crossings_[x];
+        const SplitList::Crossing& cross = splits_.crossings[x];
         if (!cross.index_nl) continue;
         const double prefilter =
             rows_[s1] * raw * sel.JoinSelectivity(cross.join);
@@ -280,7 +233,8 @@ double DpLowerBound::BoundAt(const DimVector& dims, bool* ambiguous) {
     return kInf;
   }
   resolver_.Inject(dims);
-  const uint32_t moved = MovedDims(resolver_, &seen_);
+  // The row table moves with the same mask: its subsets are the composites.
+  const uint32_t moved = subset_rows_.Refresh(resolver_);
   const uint64_t full = (uint64_t{1} << num_tables_) - 1;
 
   // The first call computes every subset, invariant ones included.
@@ -290,9 +244,10 @@ double DpLowerBound::BoundAt(const DimVector& dims, bool* ambiguous) {
       ComputeSingleton(t);
       ++subsets_computed_;
     }
-    for (const Composite& c : composites_) {
-      if (primed_ && (c.dims & moved) == 0) continue;
-      ComputeComposite(c);
+    const int num_composites = static_cast<int>(splits_.composites.size());
+    for (int k = 0; k < num_composites; ++k) {
+      if (primed_ && (splits_.composites[k].dims & moved) == 0) continue;
+      ComputeComposite(k);
       ++subsets_computed_;
     }
     primed_ = true;

@@ -21,12 +21,15 @@
 // The incremental POSP fast path (ess/posp_generator) exploits exactly that
 // equality: it skips a full DP only when a recosted candidate's cost c*
 // satisfies c* <= bound, which — since bound <= opt <= c* always — can only
-// fire when all three coincide bit-for-bit.
+// fire when all three coincide bit-for-bit, and when each of the
+// candidate's subsets is tight too (TightAt), since equal totals alone can
+// hide a costlier subtree that rounds away.
 //
 // Incrementality. Everything that does not depend on selectivities is built
-// once per instance: the connected composite subsets in ascending order,
-// each one's splits into two connected sides that share a crossing join,
-// each crossing join's presort grants and index-NL eligibility, and each
+// once per instance: the shared split list (optimizer/split_list: the
+// connected composite subsets in ascending order, each one's splits into two
+// connected sides that share a crossing join, each crossing join's keys and
+// index-NL eligibility), each crossing join's presort grants, and each
 // table's index descent cost. Per subset the bound keeps its rows, bound,
 // sort cost and tie flag across calls. These depend on the ESS location only
 // through the error dimensions in the subset's SubsetDimMask (the selection
@@ -38,7 +41,8 @@
 // saw before; tests/test_recost_differential.cc checks this. Consecutive
 // points of the POSP walk differ in one dimension, so most subsets are
 // reused, and a recomputed subset prices its sort once, not once per merge
-// candidate.
+// candidate. The composite subsets' rows live in a SubsetRowTable that the
+// POSP fast path's recosters read at the same point (subset_rows()).
 
 #ifndef BOUQUET_OPTIMIZER_DP_BOUND_H_
 #define BOUQUET_OPTIMIZER_DP_BOUND_H_
@@ -50,6 +54,7 @@
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/selectivity.h"
+#include "optimizer/split_list.h"
 #include "query/query_spec.h"
 
 namespace bouquet {
@@ -63,6 +68,9 @@ class DpLowerBound {
   /// +infinity ("never skip").
   DpLowerBound(const QuerySpec& query, const Catalog& catalog,
                CostModel cost_model);
+  // subset_rows_ points into card_.
+  DpLowerBound(const DpLowerBound&) = delete;
+  DpLowerBound& operator=(const DpLowerBound&) = delete;
 
   /// False when the query names more than 64 distinct key orders (indexed
   /// filter columns plus both sides of every join; up to 128 with the 64
@@ -76,14 +84,12 @@ class DpLowerBound {
   ///
   /// `ambiguous`, when given, is set to true if the bound's minimum is
   /// attained by more than one (decomposition, operator) candidate with
-  /// bit-equal cost anywhere along the winning chain. At a point where the
-  /// bound is tight (bound == optimal cost), two structurally different
-  /// optimal plans tie exactly iff their chains diverge at some subset with
-  /// bit-equal bound candidates — so an unambiguous tight bound certifies
-  /// the DP's argmin is unique, and a recost matching the bound identifies
-  /// *the* plan the DP would emit (not merely *a* cost-equal plan). Callers
-  /// must fall back to the full DP on ambiguity: the DP breaks exact ties
-  /// by enumeration order, which recosting cannot reproduce.
+  /// bit-equal cost anywhere along the winning chain. Callers must fall back
+  /// to the full DP on ambiguity: the DP breaks exact ties by enumeration
+  /// order, which recosting cannot reproduce. An unambiguous bound matched
+  /// by a recost is not yet proof that the recosted plan is the DP's: two
+  /// plans whose subtrees differ in cost can round to the same total. A plan
+  /// every subset of which is TightAt the bound is the DP's plan.
   double BoundAt(const DimVector& dims, bool* ambiguous = nullptr);
 
   /// Subset bounds computed so far, singletons included, summed over all
@@ -92,33 +98,32 @@ class DpLowerBound {
   /// SubsetDimMask meets the moved dimensions.
   long long subsets_computed() const { return subsets_computed_; }
 
+  /// True when `cost` equals, bit for bit, the bound of `subset` at the
+  /// point of the last BoundAt and no other candidate attained it (the
+  /// subset's tie flag is clear). The POSP fast path certifies a plan only
+  /// when this holds at every subset it keeps an entry for: the root alone
+  /// is not enough, since a costlier subtree can round to the same total.
+  bool TightAt(uint64_t subset, double cost) const {
+    return cost == lb_[subset] && tie_[subset] == 0;
+  }
+
+  /// SubsetRows of every connected composite subset at the point of the last
+  /// BoundAt (empty when the query is not supported). Recosters reading it
+  /// (PlanRecoster's row table) must run at that same point.
+  const SubsetRowTable& subset_rows() const { return subset_rows_; }
+
  private:
-  // One way to split a composite subset into connected sides s1 and s2
-  // with at least one crossing join, in the enumerator's submask order.
-  struct Split {
-    uint64_t s1 = 0;
-    uint64_t s2 = 0;
-    int cross_begin = 0;  // [cross_begin, cross_end) into crossings_
-    int cross_end = 0;
-    int inner_table = -1;  // s2's table when s2 is a single table
-    int inner_quals = 0;   // index-NL inner quals: filters + crossings - 1
-  };
-  // A crossing join of a split and what the bound grants it.
-  struct Crossing {
-    int join = 0;
-    bool left_presorted = false;   // key order achievable inside s1
-    bool right_presorted = false;  // key order achievable inside s2
-    bool index_nl = false;  // s2 is one table indexed on this join's column
-  };
-  struct Composite {
-    uint64_t subset = 0;
-    uint32_t dims = 0;  // SubsetDimMask
-    int split_begin = 0;  // [split_begin, split_end) into splits_
-    int split_end = 0;
+  // What the bound grants a crossing join's merge: its key order is
+  // achievable inside that side.
+  struct Presort {
+    bool left = false;
+    bool right = false;
   };
 
   void ComputeSingleton(int table);
-  void ComputeComposite(const Composite& c);
+  // `slot`: the composite's index in splits_.composites and its slot in
+  // subset_rows_.
+  void ComputeComposite(int slot);
 
   const QuerySpec* query_;
   const Catalog* catalog_;
@@ -132,21 +137,21 @@ class DpLowerBound {
   std::vector<uint32_t> table_dims_;  // per table: SubsetDimMask
   std::vector<std::vector<int>> indexed_filters_;  // per table
   std::vector<double> descent_;       // per table: IndexDescentCost
-  std::vector<Composite> composites_;  // connected, ascending
-  std::vector<Split> splits_;
-  std::vector<Crossing> crossings_;
-  std::vector<double> width_;  // per subset
+  SplitList splits_;
+  std::vector<Presort> presort_;  // per splits_.crossings entry
+  std::vector<double> width_;     // per subset
 
   // Per subset, kept across calls and recomputed when a dimension in the
-  // subset's SubsetDimMask moves. tie_[s] marks subsets whose bound minimum
-  // is not uniquely attained (see BoundAt).
+  // subset's SubsetDimMask moves. rows_ holds singletons' ScanRows and a
+  // copy of subset_rows_ for composites. tie_[s] marks subsets whose bound
+  // minimum is not uniquely attained (see BoundAt).
+  SubsetRowTable subset_rows_;  // composites, one slot per composite
   std::vector<double> rows_;
   std::vector<double> lb_;
   std::vector<double> sort_;  // SortCost(rows_, width_)
   std::vector<char> tie_;
   double bound_ = 0.0;  // lb_ of the full set, aggregate included
   bool primed_ = false;
-  DimVector seen_;      // dimension values of the previous call
 
   long long subsets_computed_ = 0;
 };

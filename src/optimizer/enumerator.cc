@@ -4,50 +4,35 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <memory>
 
 #include "optimizer/plan_signature.h"
 
 namespace bouquet {
-
-namespace {
-
-int EncodeOrder(int table_idx, int col_idx) {
-  // 64K columns per table keeps the encoding collision-free for any schema
-  // QuerySpec::Validate accepts (<= 20 tables fits comfortably in an int).
-  assert(col_idx >= 0 && col_idx < (1 << 16));
-  return table_idx * (1 << 16) + col_idx;
-}
-
-}  // namespace
 
 PlanEnumerator::PlanEnumerator(const QuerySpec& query, const Catalog& catalog,
                                CostModel cost_model)
     : query_(&query),
       catalog_(&catalog),
       cm_(cost_model),
-      graph_(query),
       num_tables_(static_cast<int>(query.tables.size())),
-      card_(query, catalog) {
-  join_lorder_.reserve(query.joins.size());
-  join_rorder_.reserve(query.joins.size());
-  for (const auto& j : query.joins) {
-    const int lt = query.TableIndex(j.left_table);
-    const int rt = query.TableIndex(j.right_table);
-    join_lorder_.push_back(
-        EncodeOrder(lt, card_.table(lt).ColumnIndex(j.left_column)));
-    join_rorder_.push_back(
-        EncodeOrder(rt, card_.table(rt).ColumnIndex(j.right_column)));
+      card_(query, catalog) {}
+
+void PlanEnumerator::Build() const {
+  splits_ = BuildSplitList(card_);
+  descent_.resize(num_tables_);
+  cells_.resize(uint64_t{1} << num_tables_);
+  for (int t = 0; t < num_tables_; ++t) {
+    const uint64_t s = uint64_t{1} << t;
+    descent_[t] = cm_.IndexDescentCost(card_.table(t).stats.row_count);
+    cells_[s].width = card_.table(t).stats.row_width_bytes;
+    cells_[s].invariant = card_.SubsetDimMask(s) == 0;
   }
-  const uint64_t full = uint64_t{1} << num_tables_;
-  connected_.resize(full, false);
-  invariant_.resize(full, false);
-  for (uint64_t s = 1; s < full; ++s) {
-    connected_[s] = graph_.IsConnectedSubset(s);
-    invariant_[s] = card_.SubsetDimMask(s) == 0;
+  for (const SplitList::Composite& c : splits_.composites) {
+    cells_[c.subset].width = card_.SubsetWidth(c.subset);
+    cells_[c.subset].invariant = c.dims == 0;
   }
-  memo_.resize(full);
-  memo_ready_.assign(full, 0);
+  built_ = true;
 }
 
 bool PlanEnumerator::OrderInteresting(int order, uint64_t subset) const {
@@ -58,40 +43,33 @@ bool PlanEnumerator::OrderInteresting(int order, uint64_t subset) const {
     const bool l_in = (lmask[j] & subset) != 0;
     const bool r_in = (rmask[j] & subset) != 0;
     if (l_in == r_in) continue;  // internal or fully external join
-    if (l_in && join_lorder_[j] == order) return true;
-    if (r_in && join_rorder_[j] == order) return true;
+    if (l_in && splits_.join_left_key[j] == order) return true;
+    if (r_in && splits_.join_right_key[j] == order) return true;
   }
   return false;
 }
 
-std::vector<PlanEnumerator::Entry> PlanEnumerator::BuildScanEntries(
-    int table, const SelectivityResolver& sel) const {
+void PlanEnumerator::BuildScanEntries(int table,
+                                      const SelectivityResolver& sel) const {
   const TableInfo& t = card_.table(table);
   const double raw_rows = t.stats.row_count;
   const double width = t.stats.row_width_bytes;
   const std::vector<int>& filters = card_.table_filters(table);
   const uint64_t self = uint64_t{1} << table;
+  Cell& cell = cells_[self];
 
   double out_sel = 1.0;
   for (int f : filters) out_sel *= sel.FilterSelectivity(f);
   const double out_rows = raw_rows * out_sel;
 
-  auto make_scan = [&](OpType op, int index_filter, double cost,
-                       int order) {
-    auto node = std::make_shared<PlanNode>();
-    node->op = op;
-    node->table_idx = table;
-    node->filter_idxs = filters;
-    node->index_filter = index_filter;
-    node->est_rows = out_rows;
-    node->est_cost = cost;
-    node->width = width;
+  auto make_scan = [&](OpType op, int index_filter, double cost, int order) {
     Entry e;
-    e.plan = std::move(node);
-    e.rows = out_rows;
     e.cost = cost;
+    e.rows = out_rows;
     e.width = width;
     e.order = order;
+    e.op = op;
+    e.key = index_filter;
     return e;
   };
 
@@ -103,8 +81,10 @@ std::vector<PlanEnumerator::Entry> PlanEnumerator::BuildScanEntries(
       kNoOrder);
 
   // Index scans: one per indexed filtered column; the chosen filter becomes
-  // the index qual and the output arrives sorted on that column.
-  std::vector<Entry> order_entries;
+  // the index qual and the output arrives sorted on that column. Entries
+  // beyond the best wait in by_order_ (a reused buffer) in discovery order.
+  std::vector<Entry>& order_entries = by_order_;
+  order_entries.clear();
   for (int f : filters) {
     const auto& pred = query_->filters[f];
     const int col = t.ColumnIndex(pred.column);
@@ -130,228 +110,236 @@ std::vector<PlanEnumerator::Entry> PlanEnumerator::BuildScanEntries(
     }
   }
 
-  std::vector<Entry> entries;
-  entries.push_back(std::move(best));
-  for (auto& e : order_entries) {
+  std::vector<Entry>& entries = cell.entries;
+  entries.clear();
+  entries.push_back(best);
+  for (const Entry& e : order_entries) {
     // Keep one (the cheapest) entry per distinct order.
     bool superseded = false;
-    for (auto& kept : entries) {
+    for (Entry& kept : entries) {
       if (kept.order == e.order) {
-        if (e.cost < kept.cost) kept = std::move(e);
+        if (e.cost < kept.cost) kept = e;
         superseded = true;
         break;
       }
     }
-    if (!superseded) entries.push_back(std::move(e));
+    if (!superseded) entries.push_back(e);
   }
-  return entries;
+  cell.sort = cm_.SortCost(out_rows, width);
 }
 
-void PlanEnumerator::ComputeSubset(uint64_t s, const SelectivityResolver& sel,
-                                   std::vector<std::vector<Entry>>* dp_out)
-    const {
-  std::vector<std::vector<Entry>>& dp = *dp_out;
-  const auto& join_lmask = card_.join_lmasks();
-  const auto& join_rmask = card_.join_rmasks();
+void PlanEnumerator::ComputeSubset(int k,
+                                   const SelectivityResolver& sel) const {
+  const SplitList::Composite& c = splits_.composites[k];
+  const uint64_t s = c.subset;
+  Cell& cell = cells_[s];
+  cell.entries.clear();
 
   const double out_rows = card_.SubsetRows(s, sel);
-  const double out_width = card_.SubsetWidth(s);
+  const double out_width = cell.width;
 
-  // Deferred candidate: enough to materialize the plan node if it survives
-  // the per-subset pruning.
-  struct Cand {
-    double cost = std::numeric_limits<double>::infinity();
-    OpType op = OpType::kHashJoin;
-    uint64_t s1 = 0;
-    int e1 = 0, e2 = 0;
-    int key_join = -1;    // merge key / index-lookup join
-    bool lp = false, rp = false;
-    int order = kNoOrder;
-  };
-
-  Cand best_overall;
-  std::map<int, Cand> best_by_order;
-  auto consider = [&](const Cand& c) {
-    if (c.cost < best_overall.cost) best_overall = c;
-    if (c.order != kNoOrder && OrderInteresting(c.order, s)) {
-      auto it = best_by_order.find(c.order);
-      if (it == best_by_order.end() || c.cost < it->second.cost) {
-        best_by_order[c.order] = c;
+  // Candidates are entries without rows and width (the subset's, filled in
+  // for the survivors). Per-order winners stay sorted by order.
+  Entry best_overall;
+  best_overall.cost = std::numeric_limits<double>::infinity();
+  by_order_.clear();
+  auto consider = [&](const Entry& cand) {
+    if (cand.cost < best_overall.cost) best_overall = cand;
+    if (cand.order != kNoOrder && OrderInteresting(cand.order, s)) {
+      const auto it = std::lower_bound(
+          by_order_.begin(), by_order_.end(), cand.order,
+          [](const Entry& e, int order) { return e.order < order; });
+      if (it == by_order_.end() || it->order != cand.order) {
+        by_order_.insert(it, cand);
+      } else if (cand.cost < it->cost) {
+        *it = cand;
       }
     }
   };
+  auto join = [](double cost, OpType op, int split, int e1, int e2, int key,
+                 bool lp, bool rp, int order) {
+    Entry e;
+    e.cost = cost;
+    e.order = order;
+    e.op = op;
+    e.split = split;
+    e.left = e1;
+    e.right = e2;
+    e.key = key;
+    e.left_presorted = lp;
+    e.right_presorted = rp;
+    return e;
+  };
 
-  for (uint64_t s1 = (s - 1) & s; s1 != 0; s1 = (s1 - 1) & s) {
-    const uint64_t s2 = s ^ s1;
-    if (!connected_[s1] || !connected_[s2]) continue;
-    if (dp[s1].empty() || dp[s2].empty()) continue;
+  for (int sp = c.split_begin; sp < c.split_end; ++sp) {
+    const SplitList::Split& split = splits_.splits[sp];
+    const Cell& lcell = cells_[split.s1];
+    const Cell& rcell = cells_[split.s2];
+    if (lcell.entries.empty() || rcell.entries.empty()) continue;
 
-    // Crossing join predicates between s1 and s2.
-    int cross[64];
-    int num_cross = 0;
-    for (size_t j = 0; j < join_lmask.size(); ++j) {
-      const bool lr = (join_lmask[j] & s1) && (join_rmask[j] & s2);
-      const bool rl = (join_lmask[j] & s2) && (join_rmask[j] & s1);
-      if (lr || rl) cross[num_cross++] = static_cast<int>(j);
-    }
-    if (num_cross == 0) continue;
-
-    for (int i1 = 0; i1 < static_cast<int>(dp[s1].size()); ++i1) {
-      const Entry& l = dp[s1][i1];
+    for (int i1 = 0; i1 < static_cast<int>(lcell.entries.size()); ++i1) {
+      const Entry& l = lcell.entries[i1];
       const InputEst le{l.rows, l.cost, l.width};
-      for (int i2 = 0; i2 < static_cast<int>(dp[s2].size()); ++i2) {
-        const Entry& r = dp[s2][i2];
+      for (int i2 = 0; i2 < static_cast<int>(rcell.entries.size()); ++i2) {
+        const Entry& r = rcell.entries[i2];
         const InputEst re{r.rows, r.cost, r.width};
 
         // Hash join: right side builds; probe (left) order survives.
-        consider({cm_.HashJoinCost(le, re, out_rows), OpType::kHashJoin,
-                  s1, i1, i2, -1, false, false, l.order});
+        consider(join(cm_.HashJoinCost(le, re, out_rows), OpType::kHashJoin,
+                      sp, i1, i2, -1, false, false, l.order));
         // Materialized nested loops: outer order survives.
-        consider({cm_.MaterialNLJoinCost(le, re, out_rows),
-                  OpType::kMaterialNLJoin, s1, i1, i2, -1, false, false,
-                  l.order});
+        consider(join(cm_.MaterialNLJoinCost(le, re, out_rows),
+                      OpType::kMaterialNLJoin, sp, i1, i2, -1, false, false,
+                      l.order));
         // Sort-merge join: any crossing predicate can be the key; inputs
-        // already sorted on their key side skip the sort.
-        for (int ci = 0; ci < num_cross; ++ci) {
-          const int j = cross[ci];
-          const bool left_holds_l = (join_lmask[j] & s1) != 0;
-          const int lkey = left_holds_l ? join_lorder_[j] : join_rorder_[j];
-          const int rkey = left_holds_l ? join_rorder_[j] : join_lorder_[j];
-          const bool lp = l.order == lkey;
-          const bool rp = r.order == rkey;
-          consider({cm_.MergeJoinCost(le, re, out_rows, lp, rp),
-                    OpType::kMergeJoin, s1, i1, i2, j, lp, rp, lkey});
+        // already sorted on their key side skip the sort. Every entry of a
+        // subset has the subset's rows and width, so the cell's SortCost is
+        // each side's sort.
+        for (int x = split.cross_begin; x < split.cross_end; ++x) {
+          const SplitList::Crossing& cross = splits_.crossings[x];
+          const bool lp = l.order == cross.left_key;
+          const bool rp = r.order == cross.right_key;
+          consider(join(cm_.MergeJoinCostWithSorts(le, re, out_rows,
+                                                   lp ? 0.0 : lcell.sort,
+                                                   rp ? 0.0 : rcell.sort),
+                        OpType::kMergeJoin, sp, i1, i2, cross.join, lp, rp,
+                        cross.left_key));
         }
         // Index nested loops: inner must be a single base table with an
-        // index on a crossing join column; outer order survives. Only the
-        // base-table entry (i2 == 0 semantics irrelevant: inner rebuilt).
-        if ((s2 & (s2 - 1)) == 0 && i2 == 0) {
-          const int t2 = __builtin_ctzll(s2);
-          const TableInfo& ti = card_.table(t2);
-          const double raw = ti.stats.row_count;
-          const int inner_quals =
-              static_cast<int>(card_.table_filters(t2).size());
-          for (int ci = 0; ci < num_cross; ++ci) {
-            const int j = cross[ci];
-            const int inner_order = (join_lmask[j] & s2) != 0
-                                        ? join_lorder_[j]
-                                        : join_rorder_[j];
-            const ColumnInfo& col = ti.columns[inner_order % (1 << 16)];
-            if (!col.has_index) continue;
+        // index on a crossing join column; outer order survives. The inner
+        // is rebuilt as an index lookup, so one inner entry suffices.
+        if (split.inner_table >= 0 && i2 == 0) {
+          const int t2 = split.inner_table;
+          const double raw = card_.table(t2).stats.row_count;
+          for (int x = split.cross_begin; x < split.cross_end; ++x) {
+            const SplitList::Crossing& cross = splits_.crossings[x];
+            if (!cross.index_nl) continue;
             const double prefilter =
-                l.rows * raw * sel.JoinSelectivity(j);
-            consider({cm_.IndexNLJoinCost(le, raw, prefilter,
-                                          inner_quals + num_cross - 1,
-                                          out_rows),
-                      OpType::kIndexNLJoin, s1, i1, i2, j, false, false,
-                      l.order});
+                l.rows * raw * sel.JoinSelectivity(cross.join);
+            consider(join(cm_.IndexNLJoinCostWithDescent(
+                              le, descent_[t2], prefilter, split.inner_quals,
+                              out_rows),
+                          OpType::kIndexNLJoin, sp, i1, i2, cross.join, false,
+                          false, l.order));
           }
         }
       }
     }
   }
 
+  cell.sort = cm_.SortCost(out_rows, out_width);
   if (!std::isfinite(best_overall.cost)) return;
 
-  // Materialize the survivors: the cheapest overall plus each strictly
-  // order-distinct winner.
-  auto materialize = [&](const Cand& c) {
-    const uint64_t s2 = s ^ c.s1;
-    auto node = std::make_shared<PlanNode>();
-    node->op = c.op;
-    node->left = dp[c.s1][c.e1].plan;
-    for (size_t j = 0; j < join_lmask.size(); ++j) {
-      const bool lr = (join_lmask[j] & c.s1) && (join_rmask[j] & s2);
-      const bool rl = (join_lmask[j] & s2) && (join_rmask[j] & c.s1);
-      if (lr || rl) node->join_idxs.push_back(static_cast<int>(j));
-    }
-    if (c.op == OpType::kMergeJoin) {
-      // The merge key must be join_idxs[0] (executor contract).
-      auto it = std::find(node->join_idxs.begin(), node->join_idxs.end(),
-                          c.key_join);
-      assert(it != node->join_idxs.end());
-      std::iter_swap(node->join_idxs.begin(), it);
-      node->left_presorted = c.lp;
-      node->right_presorted = c.rp;
-    }
-    if (c.op == OpType::kIndexNLJoin) {
-      node->index_join = c.key_join;
-      // Inner child is an index-lookup scan node on the base table.
-      const int t2 = __builtin_ctzll(s2);
-      auto inner = std::make_shared<PlanNode>();
-      inner->op = OpType::kIndexScan;
-      inner->table_idx = t2;
-      inner->filter_idxs = card_.table_filters(t2);
-      inner->index_filter = -1;  // lookup key is the join, not a filter
-      inner->est_rows = dp[s2][0].rows;
-      inner->est_cost = 0.0;  // charged inside the join
-      inner->width = dp[s2][0].width;
-      node->right = std::move(inner);
-    } else {
-      node->right = dp[s2][c.e2].plan;
-    }
-    node->est_rows = out_rows;
-    node->est_cost = c.cost;
-    node->width = out_width;
-    Entry e;
-    e.plan = std::move(node);
+  // The survivors: the cheapest overall plus each strictly order-distinct
+  // winner.
+  auto keep = [&](Entry e) {
     e.rows = out_rows;
-    e.cost = c.cost;
     e.width = out_width;
-    e.order = c.order;
-    return e;
+    cell.entries.push_back(e);
   };
-
-  dp[s].push_back(materialize(best_overall));
-  for (const auto& [order, cand] : best_by_order) {
-    if (order == best_overall.order &&
+  keep(best_overall);
+  for (const Entry& cand : by_order_) {
+    if (cand.order == best_overall.order &&
         cand.cost >= best_overall.cost * (1 - 1e-12)) {
       continue;  // the overall winner already carries this order
     }
-    dp[s].push_back(materialize(cand));
+    keep(cand);
   }
+}
+
+PlanNodeRef PlanEnumerator::Materialize(uint64_t subset, int e) const {
+  Cell& cell = cells_[subset];
+  if (cell.invariant) {
+    cell.trees.resize(cell.entries.size());
+    if (cell.trees[e] == nullptr) cell.trees[e] = NewTree(subset, e);
+    return cell.trees[e];
+  }
+  return NewTree(subset, e);
+}
+
+PlanNodeRef PlanEnumerator::NewTree(uint64_t subset, int e) const {
+  const Entry& entry = cells_[subset].entries[e];
+  auto node = std::make_shared<PlanNode>();
+  node->op = entry.op;
+  node->est_rows = entry.rows;
+  node->est_cost = entry.cost;
+  node->width = entry.width;
+  if (entry.split < 0) {
+    const int t = __builtin_ctzll(subset);
+    node->table_idx = t;
+    node->filter_idxs = card_.table_filters(t);
+    node->index_filter = entry.key;
+    return node;
+  }
+
+  const SplitList::Split& split = splits_.splits[entry.split];
+  node->left = Materialize(split.s1, entry.left);
+  for (int x = split.cross_begin; x < split.cross_end; ++x) {
+    node->join_idxs.push_back(splits_.crossings[x].join);
+  }
+  if (entry.op == OpType::kMergeJoin) {
+    // The merge key must be join_idxs[0] (executor contract).
+    auto it = std::find(node->join_idxs.begin(), node->join_idxs.end(),
+                        entry.key);
+    assert(it != node->join_idxs.end());
+    std::iter_swap(node->join_idxs.begin(), it);
+    node->left_presorted = entry.left_presorted;
+    node->right_presorted = entry.right_presorted;
+  }
+  if (entry.op == OpType::kIndexNLJoin) {
+    node->index_join = entry.key;
+    // Inner child is an index-lookup scan node on the base table.
+    const int t2 = split.inner_table;
+    const Entry& base = cells_[split.s2].entries[0];
+    auto inner = std::make_shared<PlanNode>();
+    inner->op = OpType::kIndexScan;
+    inner->table_idx = t2;
+    inner->filter_idxs = card_.table_filters(t2);
+    inner->index_filter = -1;  // lookup key is the join, not a filter
+    inner->est_rows = base.rows;
+    inner->est_cost = 0.0;  // charged inside the join
+    inner->width = base.width;
+    node->right = std::move(inner);
+  } else {
+    node->right = Materialize(split.s2, entry.right);
+  }
+  return node;
 }
 
 Plan PlanEnumerator::Optimize(const SelectivityResolver& sel) const {
   ++invocations_;
-  const uint64_t full = (uint64_t{1} << num_tables_) - 1;
-  std::vector<std::vector<Entry>> dp(full + 1);
+  if (!built_) Build();
 
   for (int t = 0; t < num_tables_; ++t) {
-    const uint64_t s = uint64_t{1} << t;
-    if (invariant_[s] && memo_ready_[s]) {
-      dp[s] = memo_[s];
-      ++memo_hits_;
-    } else {
-      dp[s] = BuildScanEntries(t, sel);
-      if (invariant_[s]) {
-        memo_[s] = dp[s];
-        memo_ready_[s] = 1;
-      }
-    }
-  }
-
-  // Ascending subset order respects DP dependencies (submask < mask).
-  for (uint64_t s = 3; s <= full; ++s) {
-    if ((s & (s - 1)) == 0) continue;  // singleton
-    if (!connected_[s]) continue;
-    if (invariant_[s] && memo_ready_[s]) {
-      dp[s] = memo_[s];
+    Cell& cell = cells_[uint64_t{1} << t];
+    if (cell.ready) {
       ++memo_hits_;
       continue;
     }
-    ComputeSubset(s, sel, &dp);
-    if (invariant_[s]) {
-      // Cache even the empty outcome: it is equally deterministic.
-      memo_[s] = dp[s];
-      memo_ready_[s] = 1;
-    }
+    BuildScanEntries(t, sel);
+    cell.ready = cell.invariant;
   }
 
-  assert(!dp[full].empty() && "join graph disconnected or no plan found");
-  const Entry& top = dp[full][0];
+  // Ascending subset order respects DP dependencies (submask < mask).
+  const int num_composites = static_cast<int>(splits_.composites.size());
+  for (int k = 0; k < num_composites; ++k) {
+    Cell& cell = cells_[splits_.composites[k].subset];
+    if (cell.ready) {
+      ++memo_hits_;
+      continue;
+    }
+    ComputeSubset(k, sel);
+    // An invariant subset keeps even an empty outcome: it is equally
+    // deterministic.
+    cell.ready = cell.invariant;
+  }
+
+  const uint64_t full = (uint64_t{1} << num_tables_) - 1;
+  assert(!cells_[full].entries.empty() &&
+         "join graph disconnected or no plan found");
+  const Entry& top = cells_[full].entries[0];
   Plan plan;
-  plan.root = top.plan;
+  plan.root = Materialize(full, 0);
   plan.cost = top.cost;
   plan.rows = top.rows;
 
@@ -361,7 +349,7 @@ Plan PlanEnumerator::Optimize(const SelectivityResolver& sel) const {
         query_->aggregate.EstimateGroups(*catalog_, top.rows);
     auto agg = std::make_shared<PlanNode>();
     agg->op = OpType::kHashAggregate;
-    agg->left = top.plan;
+    agg->left = plan.root;
     agg->est_rows = groups;
     agg->est_cost =
         cm_.AggregateCost({top.rows, top.cost, top.width}, groups);

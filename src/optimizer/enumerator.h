@@ -15,14 +15,23 @@
 // cheapest plan overall plus the cheapest plan per sort order that can
 // still benefit a pending join (so a future merge join can skip a sort).
 //
+// The DP table holds plain records, not plan trees. Each relation subset's
+// entries (its cheapest plan first, then its cheapest plan per order that is
+// still interesting) record cost, rows, width, order, operator, the split,
+// the child entries, the key and the presort flags, in one table reused
+// across calls; only the winner's PlanNode tree is materialized at the end,
+// and an invariant subset's subtree only once, shared by every later plan.
+// The splits come from the shared split list (optimizer/split_list), which
+// DpLowerBound iterates too, built on the first Optimize call.
+//
 // Invariant-subplan memoization: a DP subproblem whose tables, filters, and
 // internal joins touch no error-prone predicate (CardinalityContext::
 // SubsetDimMask == 0) has entries that are independent of the injected ESS
-// location. Those entry vectors are computed once per enumerator and reused
-// verbatim by every later Optimize() call — bit-identical by construction,
-// since the cached vectors are exactly what a fresh run would recompute from
-// the same inputs. Plan nodes are immutable shared trees, so reuse across
-// returned plans is safe.
+// location. Those entries are computed once per enumerator and kept in the
+// table by every later Optimize() call — bit-identical by construction,
+// since they are exactly what a fresh run would recompute from the same
+// inputs (their children are invariant too, so their child indexes stay
+// valid).
 
 #ifndef BOUQUET_OPTIMIZER_ENUMERATOR_H_
 #define BOUQUET_OPTIMIZER_ENUMERATOR_H_
@@ -35,7 +44,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/plan.h"
 #include "optimizer/selectivity.h"
-#include "query/join_graph.h"
+#include "optimizer/split_list.h"
 #include "query/query_spec.h"
 
 namespace bouquet {
@@ -60,41 +69,62 @@ class PlanEnumerator {
   long long memo_hits() const { return memo_hits_; }
 
  private:
-  // Sort orders are encoded as table_idx * 65536 + column_idx; kNoOrder for
-  // unordered streams.
   static constexpr int kNoOrder = -1;
 
+  // One DP entry: a plan for a relation subset, as a plain record.
   struct Entry {
-    PlanNodeRef plan;
-    double rows = 0.0;
     double cost = 0.0;
+    double rows = 0.0;
     double width = 0.0;
-    int order = kNoOrder;
+    int order = kNoOrder;  // EncodeOrder of its output's sort column
+    OpType op = OpType::kSeqScan;
+    int split = -1;  // joins: index into splits_.splits; -1 for scans
+    int left = 0;    // joins: entry index into the s1 side's entries
+    int right = 0;   // joins: entry index into the s2 side's entries
+    int key = -1;    // merge key or index-lookup join; index scans: filter
+    bool left_presorted = false;
+    bool right_presorted = false;
   };
 
-  std::vector<Entry> BuildScanEntries(int table,
-                                      const SelectivityResolver& sel) const;
-  // Enumerates every join decomposition of subset `s` into (*dp)[s]
-  // (the relocated DP loop body; leaves (*dp)[s] empty when no finite-cost
-  // plan exists).
-  void ComputeSubset(uint64_t s, const SelectivityResolver& sel,
-                     std::vector<std::vector<Entry>>* dp) const;
+  // One subset's slot in the DP table.
+  struct Cell {
+    std::vector<Entry> entries;  // empty when no finite-cost plan exists
+    double width = 0.0;          // SubsetWidth, fixed
+    double sort = 0.0;           // SortCost(rows, width) at the point
+    bool invariant = false;      // SubsetDimMask == 0
+    bool ready = false;          // invariant and already computed
+    // Invariant cells: each entry's tree once materialized, shared by every
+    // plan built on it (the entries never change).
+    std::vector<PlanNodeRef> trees;
+  };
+
+  // Builds the split list and the table (first Optimize call).
+  void Build() const;
+  void BuildScanEntries(int table, const SelectivityResolver& sel) const;
+  // Enumerates every split of composite `k` into its cell (leaves it empty
+  // when no finite-cost plan exists).
+  void ComputeSubset(int k, const SelectivityResolver& sel) const;
   // True when a stream sorted on `order` could still feed a merge join with
   // a relation outside `subset`.
   bool OrderInteresting(int order, uint64_t subset) const;
+  // The PlanNode tree of entry `e` of `subset` (an invariant cell's is
+  // built once); NewTree builds it, materializing the children.
+  PlanNodeRef Materialize(uint64_t subset, int e) const;
+  PlanNodeRef NewTree(uint64_t subset, int e) const;
 
   const QuerySpec* query_;
   const Catalog* catalog_;
   CostModel cm_;
-  JoinGraph graph_;
   int num_tables_;
-  CardinalityContext card_;            // shared cardinality derivations
-  std::vector<int> join_lorder_;       // encoded left column
-  std::vector<int> join_rorder_;       // encoded right column
-  std::vector<bool> connected_;        // per subset
-  std::vector<bool> invariant_;        // per subset: SubsetDimMask == 0
-  mutable std::vector<std::vector<Entry>> memo_;  // invariant subsets only
-  mutable std::vector<char> memo_ready_;
+  CardinalityContext card_;  // shared cardinality derivations
+
+  // Built on the first Optimize call, so an optimizer that only recosts
+  // never pays for them.
+  mutable bool built_ = false;
+  mutable SplitList splits_;
+  mutable std::vector<double> descent_;  // per table: IndexDescentCost
+  mutable std::vector<Cell> cells_;      // per subset
+  mutable std::vector<Entry> by_order_;  // reused: per-order candidates
   mutable long long invocations_ = 0;
   mutable long long memo_hits_ = 0;
 };

@@ -1,10 +1,18 @@
 #include "optimizer/plan_signature.h"
 
-#include "common/str_util.h"
+#include <charconv>
 
 namespace bouquet {
 
 namespace {
+
+// Appends `prefix` and the decimal digits of `v` (as "%d" would print them).
+void AppendInt(const char* prefix, int v, std::string* out) {
+  char buf[16];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(prefix);
+  out->append(buf, res.ptr);
+}
 
 void SigRec(const PlanNode& node, std::string* out) {
   out->append(OpTypeShortName(node.op));
@@ -24,15 +32,13 @@ void SigRec(const PlanNode& node, std::string* out) {
     out->append("}");
   }
   if (node.is_scan()) {
-    out->append(StrPrintf("(t%d", node.table_idx));
-    if (node.index_filter >= 0) {
-      out->append(StrPrintf(";ix=f%d", node.index_filter));
-    }
+    AppendInt("(t", node.table_idx, out);
+    if (node.index_filter >= 0) AppendInt(";ix=f", node.index_filter, out);
     if (!node.filter_idxs.empty()) {
       out->append(";");
       for (size_t i = 0; i < node.filter_idxs.size(); ++i) {
         if (i > 0) out->append(",");
-        out->append(StrPrintf("f%d", node.filter_idxs[i]));
+        AppendInt("f", node.filter_idxs[i], out);
       }
     }
     out->append(")");
@@ -41,9 +47,9 @@ void SigRec(const PlanNode& node, std::string* out) {
   out->append("[");
   for (size_t i = 0; i < node.join_idxs.size(); ++i) {
     if (i > 0) out->append(",");
-    out->append(StrPrintf("j%d", node.join_idxs[i]));
+    AppendInt("j", node.join_idxs[i], out);
   }
-  if (node.index_join >= 0) out->append(StrPrintf(";ixj%d", node.index_join));
+  if (node.index_join >= 0) AppendInt(";ixj", node.index_join, out);
   out->append("](");
   if (node.left) SigRec(*node.left, out);
   out->append(",");

@@ -1,6 +1,8 @@
 #include "optimizer/recost.h"
 
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 #include "catalog/catalog.h"
@@ -34,10 +36,12 @@ NodeShape ShapeOf(const PlanNode& node, uint64_t child_mask,
 }
 
 // One node's estimate from its shape and its children's estimates (unused
-// ones ignored): the per-node arithmetic every recost runs.
+// ones ignored): the per-node arithmetic every recost runs. `join_rows` is
+// a join node's SubsetRows(shape.mask) at the point (ignored otherwise).
 NodeEstimate EstimateNode(const PlanNode& node, const NodeShape& shape,
                           const NodeEstimate& l, const NodeEstimate& r,
-                          const CostModel& cm, const SelectivityResolver& sel,
+                          double join_rows, const CostModel& cm,
+                          const SelectivityResolver& sel,
                           const CardinalityContext& ctx) {
   NodeEstimate est;
   est.width = shape.width;
@@ -67,7 +71,7 @@ NodeEstimate EstimateNode(const PlanNode& node, const NodeShape& shape,
     est.cost = cm.AggregateCost({l.rows, l.cost, l.width}, groups);
   } else {
     // Enumerator derivation: subset cardinality from the table mask.
-    est.rows = ctx.SubsetRows(shape.mask, sel);
+    est.rows = join_rows;
     const InputEst le{l.rows, l.cost, l.width};
     const InputEst re{r.rows, r.cost, r.width};
     switch (node.op) {
@@ -124,8 +128,10 @@ NodeEstimate RecostRec(const PlanNode& node, RecostState* st,
   if (node.right) r = RecostRec(*node.right, st, &rmask);
   const NodeShape shape = ShapeOf(node, lmask | rmask, *st->cm, *st->ctx);
   *mask_out = shape.mask;
-  const NodeEstimate est =
-      EstimateNode(node, shape, l, r, *st->cm, *st->sel, *st->ctx);
+  const double join_rows =
+      node.is_join() ? st->ctx->SubsetRows(shape.mask, *st->sel) : 0.0;
+  const NodeEstimate est = EstimateNode(node, shape, l, r, join_rows, *st->cm,
+                                        *st->sel, *st->ctx);
   if (st->out != nullptr) (*st->out)[slot] = est;
   return est;
 }
@@ -164,8 +170,9 @@ double RecostPlanTotal(const PlanNode& root, const CostModel& cm,
 }
 
 PlanRecoster::PlanRecoster(PlanNodeRef root, const CostModel& cm,
-                           const CardinalityContext& ctx)
-    : root_(std::move(root)), cm_(cm), ctx_(&ctx) {
+                           const CardinalityContext& ctx,
+                           const SubsetRowTable& rows)
+    : root_(std::move(root)), cm_(cm), ctx_(&ctx), rows_(&rows) {
   Flatten(*root_);
 }
 
@@ -179,6 +186,17 @@ int PlanRecoster::Flatten(const PlanNode& node) {
       (n.right >= 0 ? nodes_[n.right].shape.mask : 0);
   n.shape = ShapeOf(node, child_mask, cm_, *ctx_);
   n.dims = ctx_->SubsetDimMask(n.shape.mask);
+  n.entry = node.is_join() ||
+            (node.is_scan() &&
+             !(node.op == OpType::kIndexScan && node.index_filter < 0));
+  if (node.is_join()) {
+    n.row_slot = rows_->Slot(n.shape.mask);
+    if (n.row_slot < 0) {
+      std::fprintf(stderr, "PlanRecoster: row table lacks join subset %#llx\n",
+                   static_cast<unsigned long long>(n.shape.mask));
+      std::abort();
+    }
+  }
   nodes_.push_back(n);
   return static_cast<int>(nodes_.size()) - 1;
 }
@@ -190,10 +208,11 @@ double PlanRecoster::CostAt(const SelectivityResolver& sel) {
     const NodeEstimate none;
     for (Node& n : nodes_) {
       if (primed_ && (n.dims & moved) == 0) continue;
+      const double join_rows = n.row_slot >= 0 ? rows_->rows(n.row_slot) : 0.0;
       n.est = EstimateNode(*n.plan, n.shape,
                            n.left >= 0 ? nodes_[n.left].est : none,
-                           n.right >= 0 ? nodes_[n.right].est : none, cm_,
-                           sel, *ctx_);
+                           n.right >= 0 ? nodes_[n.right].est : none,
+                           join_rows, cm_, sel, *ctx_);
       ++nodes_computed_;
     }
     primed_ = true;

@@ -26,7 +26,10 @@
 //     meets the dimensions that moved since that recoster's previous call.
 //     The POSP fast path and the simulator's cost surfaces sweep many points
 //     per plan and use it; its costs equal RecostPlanTotal's bit for bit,
-//     whatever points it saw before.
+//     whatever points it saw before. Its join nodes read their rows from a
+//     SubsetRowTable, which the caller refreshes once per point for all of
+//     that point's recosters (the fast path reads its DP bound's table; the
+//     simulator keeps one over its plans' join subsets).
 
 #ifndef BOUQUET_OPTIMIZER_RECOST_H_
 #define BOUQUET_OPTIMIZER_RECOST_H_
@@ -85,12 +88,26 @@ double RecostPlanTotal(const PlanNode& root, const CostModel& cm,
 /// same (query, catalog) as every resolver passed to CostAt.
 class PlanRecoster {
  public:
+  /// `rows` must hold every join subset of the plan (AppendJoinSubsets),
+  /// outlive the recoster, and be current (Refresh) at the point of every
+  /// CostAt call; a table missing a subset aborts construction.
   PlanRecoster(PlanNodeRef root, const CostModel& cm,
-               const CardinalityContext& ctx);
+               const CardinalityContext& ctx, const SubsetRowTable& rows);
 
   /// The plan's total cost under the resolver's current selectivities;
   /// bit-identical to RecostPlanTotal(root, cm, sel, ctx).
   double CostAt(const SelectivityResolver& sel);
+
+  /// True when pred(mask, cost) holds for every node the DP keeps as a
+  /// subset entry (scans and joins, not an index-lookup inner or the
+  /// aggregate), with the node's table mask and cost at the last CostAt.
+  template <typename Pred>
+  bool AllEntries(Pred pred) const {
+    for (const Node& n : nodes_) {
+      if (n.entry && !pred(n.shape.mask, n.est.cost)) return false;
+    }
+    return true;
+  }
 
   /// Plan nodes computed so far, summed over calls (PospStats::recost_nodes).
   long long nodes_computed() const { return nodes_computed_; }
@@ -101,6 +118,8 @@ class PlanRecoster {
     int left = -1;   // index into nodes_, or -1
     int right = -1;  // index into nodes_, or -1
     uint32_t dims = 0;  // SubsetDimMask(shape.mask)
+    int row_slot = -1;  // join nodes: the mask's slot in rows_
+    bool entry = false;  // a DP subset entry (see AllEntries)
     NodeShape shape;
     NodeEstimate est;
   };
@@ -110,6 +129,7 @@ class PlanRecoster {
   PlanNodeRef root_;
   CostModel cm_;
   const CardinalityContext* ctx_;
+  const SubsetRowTable* rows_;
   std::vector<Node> nodes_;  // postorder: children before parents
   bool primed_ = false;
   DimVector seen_;  // dimension values of the previous call

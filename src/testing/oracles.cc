@@ -405,9 +405,16 @@ bool CheckCostersHistoryIndependent(const FuzzInstance& inst,
   if (DpLowerBound::Supports(inst.query, inst.catalog)) {
     bound = std::make_unique<DpLowerBound>(inst.query, inst.catalog, cm);
   }
+  // The recosters read one row table over the plans' join subsets, as the
+  // simulator's do.
+  std::vector<uint64_t> join_subsets;
+  for (int p = 0; p < diagram.num_plans(); ++p) {
+    AppendJoinSubsets(*diagram.plan(p).root, &join_subsets);
+  }
+  SubsetRowTable rows(card, join_subsets);
   std::vector<PlanRecoster> recosters;
   for (int p = 0; p < diagram.num_plans(); ++p) {
-    recosters.emplace_back(diagram.plan(p).root, cm, card);
+    recosters.emplace_back(diagram.plan(p).root, cm, card, rows);
   }
   Rng rng(inst.seed ^ 0x4157A7E5ULL);
   const uint64_t n = grid.num_points();
@@ -434,9 +441,12 @@ bool CheckCostersHistoryIndependent(const FuzzInstance& inst,
       }
     }
     sel.Inject(sels);
+    rows.Refresh(sel);
+    SubsetRowTable fresh_rows(card, join_subsets);
+    fresh_rows.Refresh(sel);
     for (int p = 0; p < diagram.num_plans(); ++p) {
       const double c = recosters[p].CostAt(sel);
-      PlanRecoster fresh(diagram.plan(p).root, cm, card);
+      PlanRecoster fresh(diagram.plan(p).root, cm, card, fresh_rows);
       const double fresh_c = fresh.CostAt(sel);
       if (std::bit_cast<uint64_t>(c) != std::bit_cast<uint64_t>(fresh_c)) {
         *why = StrPrintf("plan %d recost at point %llu: %a after %llu "

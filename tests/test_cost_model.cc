@@ -89,8 +89,10 @@ TEST_F(CostModelTest, SortCostExternalPenalty) {
 TEST_F(CostModelTest, IndexNLJoinScalesWithOuter) {
   const InputEst outer_small{100, 0, 64};
   const InputEst outer_big{100000, 0, 64};
-  const double c_small = cm_.IndexNLJoinCost(outer_small, 1e6, 100, 0, 100);
-  const double c_big = cm_.IndexNLJoinCost(outer_big, 1e6, 100000, 0, 100000);
+  const double c_small = cm_.IndexNLJoinCostWithDescent(
+      outer_small, cm_.IndexDescentCost(1e6), 100, 0, 100);
+  const double c_big = cm_.IndexNLJoinCostWithDescent(
+      outer_big, cm_.IndexDescentCost(1e6), 100000, 0, 100000);
   EXPECT_GT(c_big, c_small * 500);
 }
 
@@ -100,13 +102,15 @@ TEST_F(CostModelTest, IndexNLBeatsHashForTinyOuter) {
   const InputEst inner{1e6, cm_.SeqScanCost(1e6, 100, 0, 1e6), 100};
   {
     const InputEst outer{10, 0, 64};
-    const double nl = cm_.IndexNLJoinCost(outer, 1e6, 10, 0, 10);
+    const double nl = cm_.IndexNLJoinCostWithDescent(
+        outer, cm_.IndexDescentCost(1e6), 10, 0, 10);
     const double hj = cm_.HashJoinCost(outer, inner, 10);
     EXPECT_LT(nl, hj);
   }
   {
     const InputEst outer{100000, 0, 64};
-    const double nl = cm_.IndexNLJoinCost(outer, 1e6, 100000, 0, 100000);
+    const double nl = cm_.IndexNLJoinCostWithDescent(
+        outer, cm_.IndexDescentCost(1e6), 100000, 0, 100000);
     const double hj = cm_.HashJoinCost(outer, inner, 100000);
     EXPECT_GT(nl, hj);
   }
@@ -143,7 +147,8 @@ TEST_P(JoinCostMonotoneTest, MonotoneInOutput) {
     const double h = cm.HashJoinCost(l, r, out);
     const double m = cm.MergeJoinCost(l, r, out);
     const double n = cm.MaterialNLJoinCost(l, r, out);
-    const double i = cm.IndexNLJoinCost(l, 20000, out, 0, out);
+    const double i = cm.IndexNLJoinCostWithDescent(
+        l, cm.IndexDescentCost(20000), out, 0, out);
     EXPECT_GE(h, prev_h);
     EXPECT_GE(m, prev_m);
     EXPECT_GE(n, prev_n);

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
 
+#include "ess/ess_grid.h"
+#include "golden_digest.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/plan_signature.h"
 #include "workloads/spaces.h"
@@ -328,6 +334,89 @@ TEST_P(PcmSweepTest, OptimalCostMonotoneAlongEveryAxis) {
 
 INSTANTIATE_TEST_SUITE_P(
     Spaces, PcmSweepTest,
+    ::testing::Values("3D_H_Q5", "3D_H_Q7", "4D_H_Q8", "5D_H_Q7",
+                      "3D_DS_Q15", "3D_DS_Q96", "4D_DS_Q7", "4D_DS_Q26",
+                      "4D_DS_Q91", "5D_DS_Q19"));
+
+// Golden fingerprints of the DP's output. One long-lived optimizer walks
+// every grid point in linear order (as a POSP shard does) and each point
+// folds the plan's signature bytes, its cost and rows bits and every node's
+// annotations in preorder. Any change to the enumerator's choices, its
+// tie-breaking or its float derivations moves the pinned value.
+uint64_t OptimizerFingerprint(const QuerySpec& query, const Catalog& catalog,
+                              const EssGrid& grid) {
+  QueryOptimizer opt(query, catalog, CostParams::Postgres());
+  GoldenDigest g;
+  DimVector sels;
+  for (uint64_t i = 0; i < grid.num_points(); ++i) {
+    grid.SelectivityAt(i, &sels);
+    const Plan p = opt.OptimizeAt(sels);
+    g.Add(static_cast<uint64_t>(p.signature.size()));
+    for (const char c : p.signature) {
+      g.Add(static_cast<uint64_t>(static_cast<unsigned char>(c)));
+    }
+    g.Add(p.cost);
+    g.Add(p.rows);
+    for (const PlanNode* n : CollectNodes(*p.root)) {
+      g.Add(n->est_rows);
+      g.Add(n->est_cost);
+      g.Add(n->width);
+    }
+  }
+  return g.value();
+}
+
+TEST(OptimizerGoldenTest, EqPinned) {
+  const Catalog catalog = MakeTpchCatalog(1.0);
+  const QuerySpec query = MakeEqQuery(catalog);
+  EXPECT_EQ(OptimizerFingerprint(query, catalog,
+                                 EssGrid::WithDefaultResolution(query)),
+            0x5c8d70090b8f4ec2ULL);
+}
+
+// The real-execution templates at the resolution the service compiles them
+// (64^2 and 20^3).
+TEST(OptimizerGoldenTest, RealExecutionTemplatesPinned) {
+  const Catalog catalog = MakeTpchCatalog(1.0);
+  const QuerySpec q8a = Make2DHQ8a(catalog);
+  EXPECT_EQ(OptimizerFingerprint(q8a, catalog,
+                                 EssGrid::WithDefaultResolution(q8a)),
+            0x442edc9c3441adc9ULL);
+  const QuerySpec q5b = Make3DHQ5b(catalog);
+  EXPECT_EQ(OptimizerFingerprint(q5b, catalog,
+                                 EssGrid::WithDefaultResolution(q5b)),
+            0xa0ab924878041f25ULL);
+}
+
+class OptimizerGoldenSweep : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OptimizerGoldenSweep, TableTwoSpacePinned) {
+  static const std::map<std::string, uint64_t> kPinned = {
+      {"3D_H_Q5", 0xe7c105f620e702c2ULL},
+      {"3D_H_Q7", 0xfcf69bed6e64bd2dULL},
+      {"4D_H_Q8", 0x352232768f40a59eULL},
+      {"5D_H_Q7", 0x0c05267c9767b1c0ULL},
+      {"3D_DS_Q15", 0xbced039923161f60ULL},
+      {"3D_DS_Q96", 0xc68e888f7e90b109ULL},
+      {"4D_DS_Q7", 0xf4670cfe8d571dcfULL},
+      {"4D_DS_Q26", 0x5d1faf574b4e3a7aULL},
+      {"4D_DS_Q91", 0x788bfccb9837875dULL},
+      {"5D_DS_Q19", 0x9755a3e2f8534fe3ULL}};
+  const Catalog tpch = MakeTpchCatalog(1.0);
+  const Catalog tpcds = MakeTpcdsCatalog(100.0);
+  const NamedSpace space = GetSpace(GetParam(), tpch, tpcds);
+  const Catalog& cat = space.benchmark == "H" ? tpch : tpcds;
+  const int dims = space.query.NumDims();
+  const int res = dims == 3 ? 6 : dims == 4 ? 4 : 3;
+  EXPECT_EQ(OptimizerFingerprint(space.query, cat,
+                                 EssGrid(space.query,
+                                         std::vector<int>(dims, res))),
+            kPinned.at(space.name))
+      << space.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TableTwoSpaces, OptimizerGoldenSweep,
     ::testing::Values("3D_H_Q5", "3D_H_Q7", "4D_H_Q8", "5D_H_Q7",
                       "3D_DS_Q15", "3D_DS_Q96", "4D_DS_Q7", "4D_DS_Q26",
                       "4D_DS_Q91", "5D_DS_Q19"));

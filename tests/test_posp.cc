@@ -216,7 +216,13 @@ TEST(PospCountersTest, BoundSubsetsFollowTheMovedDimensions) {
   // point than the moved-dimension rule allows.
   EXPECT_EQ(stats.bound_subsets, 5434);
   EXPECT_EQ(stats.dp_calls, 96);
-  EXPECT_GT(stats.recost_nodes, 0);
+  // The DP's invariant-subset memo serves the same subproblems whatever the
+  // fast path's candidate order.
+  EXPECT_EQ(stats.memo_hits, 972);
+  // Nodes the fast path's recosters compute under its candidate order: the
+  // previous winner, then the winners one step back on each axis, then the
+  // rest, newest first.
+  EXPECT_EQ(stats.recost_nodes, 12810);
 
   PospOptions memoryless;
   memoryless.incremental = false;
@@ -226,6 +232,56 @@ TEST(PospCountersTest, BoundSubsetsFollowTheMovedDimensions) {
   EXPECT_EQ(mstats.bound_subsets, 0);
   EXPECT_EQ(mstats.recost_nodes, 0);
 }
+
+// Grids with points where a plan other than the DP's reaches the DP's
+// optimal cost bit for bit: one of its subtrees costs more than the DP's for
+// the same subset, but adding the rest of the plan rounds both totals to the
+// same double, and the bound reports no tie. A fast path that certified on
+// the root's cost alone would emit that plan whenever it recosted it first
+// (2 points each on 4D_DS_Q91 and 4D_H_Q8b with candidates rotated from the
+// previous winner, 1 on 3D_H_Q5b with the neighbour-first order); requiring
+// every subset entry of the plan to be tight emits the DP's.
+struct RoundingCase {
+  const char* space;
+  int resolution;
+};
+
+class PospRoundingTest : public ::testing::TestWithParam<RoundingCase> {};
+
+TEST_P(PospRoundingTest, IncrementalMatchesMemorylessWhereSubtreesRoundAway) {
+  const Catalog tpch = MakeTpchCatalog(1.0);
+  const Catalog tpcds = MakeTpcdsCatalog(100.0);
+  const std::string name = GetParam().space;
+  const QuerySpec query = name == "4D_H_Q8b"   ? Make4DHQ8b(tpch)
+                          : name == "3D_H_Q5b" ? Make3DHQ5b(tpch)
+                                               : GetSpace(name, tpch, tpcds).query;
+  const Catalog& cat = name.find("_DS_") != std::string::npos ? tpcds : tpch;
+  const EssGrid grid(query,
+                     std::vector<int>(query.NumDims(), GetParam().resolution));
+  PospOptions memoryless;
+  memoryless.incremental = false;
+  const PlanDiagram reference =
+      GeneratePosp(query, cat, CostParams::Postgres(), grid, memoryless);
+  const PlanDiagram incremental =
+      GeneratePosp(query, cat, CostParams::Postgres(), grid);
+  int differing = 0;
+  for (uint64_t i = 0; i < grid.num_points(); ++i) {
+    const std::string& want = reference.plan(reference.plan_at(i)).signature;
+    if (incremental.plan(incremental.plan_at(i)).signature != want ||
+        incremental.cost_at(i) != reference.cost_at(i)) {
+      ++differing;
+    }
+  }
+  EXPECT_EQ(differing, 0) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KnownPoints, PospRoundingTest,
+    ::testing::Values(RoundingCase{"4D_DS_Q91", 10}, RoundingCase{"4D_H_Q8b", 12},
+                      RoundingCase{"3D_H_Q5b", 20}),
+    [](const ::testing::TestParamInfo<RoundingCase>& info) {
+      return std::string(info.param.space);
+    });
 
 // Two 40-column tables joined on 33 column pairs: 66 distinct key orders,
 // more than the bound's 64-bit achievable-order masks hold. The compile

@@ -6,9 +6,9 @@
 // between the two derivations would silently disable or — worse —
 // mis-certify skips.)
 //
-// The incremental costers add a second invariant, history independence: a
-// long-lived DpLowerBound or PlanRecoster returns the same bits as a fresh
-// one at every point, whatever points it saw before.
+// The incremental costers add a second invariant, history independence: at
+// every point, whatever points it saw before, a long-lived DpLowerBound
+// returns a fresh one's bits and a long-lived PlanRecoster the tree walk's.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 
 #include "ess/ess_grid.h"
 #include "ess/posp_generator.h"
+#include "optimizer/cardinality.h"
 #include "optimizer/dp_bound.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/recost.h"
@@ -116,9 +117,11 @@ std::vector<uint64_t> VisitOrder(int kind, uint64_t n, uint64_t seed) {
   return order;
 }
 
-// At every visited point: a long-lived bound's value and ambiguity flag,
-// and each POSP plan's long-lived recoster, equal fresh instances (and the
-// tree-walk recost) bit for bit.
+// At every visited point: a long-lived bound's value and ambiguity flag
+// equal a fresh bound's bit for bit, and each POSP plan's long-lived
+// recosters equal the tree-walk recost. Each plan has two recosters: one
+// that reads the bound's row table (as the POSP fast path does) and one
+// that reads a table over the plans' join subsets (as the simulator does).
 void CheckHistoryIndependence(const std::string& name, const QuerySpec& query,
                               const Catalog& catalog, const EssGrid& grid) {
   const CostParams params = CostParams::Postgres();
@@ -126,12 +129,19 @@ void CheckHistoryIndependence(const std::string& name, const QuerySpec& query,
   const PlanDiagram diagram = GeneratePosp(query, catalog, params, grid);
   const CardinalityContext card(query, catalog);
   SelectivityResolver sel(query, catalog);
+  std::vector<uint64_t> join_subsets;
+  for (int p = 0; p < diagram.num_plans(); ++p) {
+    AppendJoinSubsets(*diagram.plan(p).root, &join_subsets);
+  }
   DimVector sels;
   for (int kind = 0; kind < 3; ++kind) {
     DpLowerBound bound(query, catalog, cm);
-    std::vector<PlanRecoster> recosters;
+    SubsetRowTable rows(card, join_subsets);
+    std::vector<PlanRecoster> bound_readers, table_readers;
     for (int p = 0; p < diagram.num_plans(); ++p) {
-      recosters.emplace_back(diagram.plan(p).root, cm, card);
+      bound_readers.emplace_back(diagram.plan(p).root, cm, card,
+                                 bound.subset_rows());
+      table_readers.emplace_back(diagram.plan(p).root, cm, card, rows);
     }
     for (uint64_t i : VisitOrder(kind, grid.num_points(), 0x5EEDULL)) {
       grid.SelectivityAt(i, &sels);
@@ -146,16 +156,16 @@ void CheckHistoryIndependence(const std::string& name, const QuerySpec& query,
           << name << " order " << kind << ": ambiguity at point " << i;
 
       sel.Inject(sels);
+      rows.Refresh(sel);
       for (int p = 0; p < diagram.num_plans(); ++p) {
-        const double c = recosters[p].CostAt(sel);
-        PlanRecoster fresh_rec(diagram.plan(p).root, cm, card);
-        ASSERT_EQ(Bits(c), Bits(fresh_rec.CostAt(sel)))
+        const double ref =
+            RecostPlanTotal(*diagram.plan(p).root, cm, sel, card);
+        ASSERT_EQ(Bits(ref), Bits(bound_readers[p].CostAt(sel)))
             << name << " order " << kind << ": plan " << p << " at point "
-            << i;
-        ASSERT_EQ(Bits(c), Bits(RecostPlanTotal(*diagram.plan(p).root, cm,
-                                                sel, card)))
+            << i << " reading the bound's rows";
+        ASSERT_EQ(Bits(ref), Bits(table_readers[p].CostAt(sel)))
             << name << " order " << kind << ": plan " << p << " at point "
-            << i << " vs the tree walk";
+            << i << " reading the plans' row table";
       }
     }
   }
@@ -186,6 +196,24 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("3D_H_Q5", "3D_H_Q7", "4D_H_Q8", "5D_H_Q7", "3D_DS_Q15",
                       "3D_DS_Q96", "4D_DS_Q7", "4D_DS_Q26", "4D_DS_Q91",
                       "5D_DS_Q19"));
+
+// A recoster whose row table lacks one of the plan's join subsets would read
+// another subset's rows; it aborts at construction instead, in every build.
+TEST(PlanRecosterDeathTest, RowTableMissingAJoinSubsetAborts) {
+  const Catalog catalog = MakeTpchCatalog(1.0);
+  const QuerySpec query = MakeEqQuery(catalog);
+  const CostParams params = CostParams::Postgres();
+  QueryOptimizer opt(query, catalog, params);
+  const Plan plan = opt.OptimizeAt({0.01});
+  std::vector<uint64_t> join_subsets;
+  AppendJoinSubsets(*plan.root, &join_subsets);
+  ASSERT_FALSE(join_subsets.empty());
+  join_subsets.pop_back();  // the root join's subset
+  const CardinalityContext card(query, catalog);
+  const SubsetRowTable rows(card, join_subsets);
+  EXPECT_DEATH(PlanRecoster(plan.root, CostModel(params), card, rows),
+               "row table lacks join subset");
+}
 
 }  // namespace
 }  // namespace bouquet
