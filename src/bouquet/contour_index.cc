@@ -73,8 +73,7 @@ int ContourIndex::DeepestUnlearned(int dense, const std::vector<bool>& learned,
   return dim;
 }
 
-void ContourIndex::Candidates(size_t k, const int* lo, bool want_axis,
-                              Scratch* s) const {
+void ContourIndex::Candidates(size_t k, const int* lo, Scratch* s) const {
   s->candidates.clear();
   s->axis.clear();
   const int* p = &coords_[offset_[k] * dims_];
@@ -93,7 +92,7 @@ void ContourIndex::Candidates(size_t k, const int* lo, bool want_axis,
       m |= kListed;
       s->candidates.push_back(plan);
     }
-    if (want_axis && above <= 1 && !(m & kOnAxis)) {
+    if (above <= 1 && !(m & kOnAxis)) {
       m |= kOnAxis;
       s->axis.push_back(plan);
     }

@@ -13,13 +13,15 @@
 //
 // The index is derived and never serialized: BouquetSimulator builds it in
 // its constructor, which runs both at compile time and when a serialized
-// bouquet is loaded, and BouquetDriver builds its own the same way.
+// bouquet is loaded, and a BouquetDriver serving a compiled bouquet reads
+// that one.
 //
 // Candidate-order invariant: Candidates() lists plans in the order of their
-// first qualifying point in BouquetContour::points order. Both climbs break
-// error-node depth ties in favour of the earlier plan, so any pruning or
-// reordering of the scan must keep that order or the step sequences change
-// (the golden fingerprints in test_simulator and test_driver pin them).
+// first qualifying point in BouquetContour::points order. The climb
+// (climb.h) breaks error-node depth ties in favour of the earlier plan, so
+// any pruning or reordering of the scan must keep that order or the step
+// sequences change (the golden fingerprints in test_simulator and
+// test_driver pin them).
 //
 // Thread-safety: immutable after construction; Candidates() writes only the
 // caller's Scratch.
@@ -61,6 +63,7 @@ class ContourIndex {
                const QuerySpec& query);
 
   int dims() const { return dims_; }
+  size_t num_contours() const { return offset_.size() - 1; }
 
   /// Plans are numbered densely: bouquet.plan_ids in order, then any plan
   /// that a contour assigns but plan_ids lacks.
@@ -90,13 +93,11 @@ class ContourIndex {
 
   /// First-quadrant scan of contour k against grid coordinates `lo`. Fills
   /// s->candidates with every plan that has a point p >= lo in all
-  /// dimensions and is not excluded, in the order of its first such point.
-  /// With `want_axis`, also fills s->axis with the candidates that have a
-  /// point on an axis through lo (p equals lo in all dimensions but at most
-  /// one), in the order of their first such point; otherwise s->axis is
-  /// left empty.
-  void Candidates(size_t k, const int* lo, bool want_axis,
-                  Scratch* s) const;
+  /// dimensions and is not excluded, in the order of its first such point,
+  /// and s->axis with the candidates that have a point on an axis through lo
+  /// (p equals lo in all dimensions but at most one), in the order of their
+  /// first such point.
+  void Candidates(size_t k, const int* lo, Scratch* s) const;
 
  private:
   static constexpr uint8_t kExcluded = 1;

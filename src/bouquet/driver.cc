@@ -4,9 +4,13 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <utility>
 
-#include "common/str_util.h"
+#include "bouquet/climb.h"
 #include "common/lint.h"
+#include "common/str_util.h"
 #include "optimizer/plan_signature.h"
 
 namespace bouquet {
@@ -62,17 +66,19 @@ BouquetDriver::BouquetDriver(const PlanBouquet& bouquet,
       diagram_(&diagram),
       opt_(opt),
       db_(db),
-      index_(bouquet, diagram, opt->query()) {}
+      own_index_(std::make_unique<const ContourIndex>(bouquet, diagram,
+                                                      opt->query())),
+      index_(own_index_.get()) {}
 
-ExecContext BouquetDriver::MakeContext() {
-  ExecContext ctx;
-  ctx.query = &opt_->query();
-  ctx.catalog = &opt_->catalog();
-  ctx.db = db_;
-  ctx.cost_model = &opt_->cost_model();
-  ctx.metrics = metrics_;
-  return ctx;
-}
+BouquetDriver::BouquetDriver(const PlanBouquet& bouquet,
+                             const PlanDiagram& diagram,
+                             const ContourIndex& index, QueryOptimizer* opt,
+                             Database* db)
+    : bouquet_(&bouquet),
+      diagram_(&diagram),
+      opt_(opt),
+      db_(db),
+      index_(&index) {}
 
 void BouquetDriver::SetObservability(obs::Tracer* tracer,
                                      obs::MetricsRegistry* metrics,
@@ -133,132 +139,274 @@ void BouquetDriver::ObserveStep(const DriverStep& step, obs::Span* span) {
   }
 }
 
-DriverResult BouquetDriver::RunBasic() {
-  DriverResult res;
-  const auto t0 = WallNow();
-  obs::Span run = obs::Tracer::BeginUnder(tracer_, "driver.run_basic",
-                                          trace_parent_, trace_id_);
-
-  for (size_t k = 0; k < bouquet_->contours.size(); ++k) {
-    const BouquetContour& contour = bouquet_->contours[k];
-    res.contours_crossed = static_cast<int>(k);
-    obs::Span contour_span =
-        obs::Tracer::Begin(tracer_, "driver.contour", &run);
-    contour_span.Num("contour", static_cast<double>(k))
-        .Num("budget", contour.budget)
-        .Num("num_plans", static_cast<double>(contour.plan_ids.size()));
-    for (int plan_id : contour.plan_ids) {
-      const Plan& plan = diagram_->plan(plan_id);
-      obs::Span step_span =
-          obs::Tracer::Begin(tracer_, "driver.step", &contour_span);
-      ExecContext ctx = MakeContext();
-      ctx.tracer = tracer_;
-      ctx.trace_parent = step_span.id();
-      ctx.trace_id = step_span.trace_id();
-      std::vector<Row> rows;
-      const auto t1 = WallNow();
-      const ExecutionOutcome out =
-          ExecutePlanWith(engine_, *plan.root, &ctx, contour.budget, &rows);
-      const auto t2 = WallNow();
-
-      DriverStep step;
-      step.contour = static_cast<int>(k);
-      step.plan_id = plan_id;
-      step.plan_signature = plan.signature;
-      step.budget = contour.budget;
-      step.charged = out.cost_charged;
-      step.wall_seconds = Seconds(t1, t2);
-      step.page_reads = out.page_reads;
-      step.page_hits = out.page_hits;
-      step.completed = out.status == ExecResult::kDone;
-      res.total_cost_units += out.cost_charged;
-      res.page_reads += out.page_reads;
-      res.page_hits += out.page_hits;
-      ++res.num_executions;
-      res.steps.push_back(step);
-      ObserveStep(step, &step_span);
-
-      if (out.status == ExecResult::kDone) {
-        res.completed = true;
-        res.final_plan = plan_id;
-        res.final_plan_signature = plan.signature;
-        res.rows = std::move(rows);
-        res.wall_seconds = Seconds(t0, t2);
-        run.Num("contours_crossed", res.contours_crossed)
-            .Num("executions", res.num_executions)
-            .Num("total_cost_units", res.total_cost_units)
-            .Flag("completed", true);
-        return res;
-      }
-      // Aborted: intermediate results jettisoned (rows discarded).
-    }
-    // This contour's budgets were all exhausted: cross to the next one.
-    if (ins_.contour_crossings != nullptr) ins_.contour_crossings->Inc();
-  }
-
-  // Safety net: every contour budget was exhausted (the true q_a lies above
-  // the last contour, possible when the grid under-resolves the ESS). Run
-  // the plan covering the ESS max corner — the plan guaranteed to handle the
-  // largest q_a — without a budget. The diagram-level assignment is used
-  // directly so this also works when the bouquet has no contours at all
-  // (e.g. a degenerate cost range produced zero IC steps).
-  if (ins_.fallbacks != nullptr) ins_.fallbacks->Inc();
-  const uint64_t corner =
-      diagram_->grid().LinearIndex(diagram_->grid().MaxCorner());
-  int fallback = diagram_->plan_at(corner);
-  if (!bouquet_->contours.empty()) {
-    const BouquetContour& last = bouquet_->contours.back();
-    for (size_t i = 0; i < last.points.size(); ++i) {
-      if (last.points[i] == corner) {
-        fallback = last.plan_at[i];
-        break;
-      }
-    }
-  }
-  // All contours were crossed without completing; the fallback runs beyond
-  // them (contour index = contours.size() marks "past the last contour").
-  res.contours_crossed = static_cast<int>(bouquet_->contours.size());
-  const Plan& plan = diagram_->plan(fallback);
-  obs::Span step_span = obs::Tracer::Begin(tracer_, "driver.step", &run);
-  ExecContext ctx = MakeContext();
-  ctx.tracer = tracer_;
-  ctx.trace_parent = step_span.id();
-  ctx.trace_id = step_span.trace_id();
-  std::vector<Row> rows;
+void BouquetDriver::RunStep(const PlanNode& root, DriverStep step,
+                            const obs::Span* parent, ExecContext* ctx,
+                            std::vector<Row>* rows, DriverResult* res) {
+  obs::Span span = obs::Tracer::Begin(tracer_, "driver.step", parent);
+  ctx->query = &opt_->query();
+  ctx->catalog = &opt_->catalog();
+  ctx->db = db_;
+  ctx->cost_model = &opt_->cost_model();
+  ctx->metrics = metrics_;
+  ctx->tracer = tracer_;
+  ctx->trace_parent = span.id();
+  ctx->trace_id = span.trace_id();
   const auto t1 = WallNow();
-  const ExecutionOutcome out = ExecutePlanWith(
-      engine_, *plan.root, &ctx, std::numeric_limits<double>::infinity(),
-      &rows);
+  const ExecutionOutcome out =
+      step.spilled ? ExecuteSpilledWith(engine_, root, ctx, step.budget)
+                   : ExecutePlanWith(engine_, root, ctx, step.budget, rows);
   const auto t2 = WallNow();
-  DriverStep step;
-  step.contour = res.contours_crossed;
-  step.plan_id = fallback;
-  step.plan_signature = plan.signature;
-  step.budget = std::numeric_limits<double>::infinity();
   step.charged = out.cost_charged;
   step.wall_seconds = Seconds(t1, t2);
   step.page_reads = out.page_reads;
   step.page_hits = out.page_hits;
-  step.completed = out.status == ExecResult::kDone;
-  res.steps.push_back(step);
-  ++res.num_executions;
-  res.total_cost_units += out.cost_charged;
-  res.page_reads += out.page_reads;
-  res.page_hits += out.page_hits;
-  ObserveStep(step, &step_span);
-  // A build failure (e.g. abstract predicates without constants) must not
-  // masquerade as a successful empty result.
-  res.completed = out.status == ExecResult::kDone;
-  res.final_plan = fallback;
-  if (res.completed) res.final_plan_signature = plan.signature;
-  res.rows = std::move(rows);
-  res.wall_seconds = Seconds(t0, t2);
-  run.Num("contours_crossed", res.contours_crossed)
-      .Num("executions", res.num_executions)
-      .Num("total_cost_units", res.total_cost_units)
-      .Flag("completed", res.completed)
-      .Flag("fallback", true);
-  return res;
+  step.completed = out.status == ExecResult::kDone && !step.spilled;
+  res->total_cost_units += out.cost_charged;
+  res->page_reads += out.page_reads;
+  res->page_hits += out.page_hits;
+  ++res->num_executions;
+  res->steps.push_back(std::move(step));
+  ObserveStep(res->steps.back(), &span);
+}
+
+// The climb's step over the executor. Every execution is cost-metered at
+// its contour's budget. An optimized run (`learn`) spills on the learning
+// dimension, harvests the instrumentation counters into q_run, and finishes
+// with the plan optimal at q_run, without a budget, in the step that learns
+// the last dimension or once the ladder is exhausted. A basic run nests its
+// steps in one "driver.contour" span per contour and falls back to the plan
+// at the ESS max corner.
+class BouquetDriver::Backend {
+ public:
+  Backend(BouquetDriver* driver, bool learn, obs::Span* run)
+      : d_(driver),
+        learn_(learn),
+        run_(run),
+        t0_(WallNow()),
+        qrun_(driver->opt_->query().NumDims()),
+        lo_(qrun_.size()),
+        learned_(qrun_.size(), false) {
+    for (size_t d = 0; d < qrun_.size(); ++d) {
+      qrun_[d] = d_->opt_->query().error_dims[d].lo;
+    }
+  }
+
+  // A contour point's selectivity grid.axis(d)[coord] is below
+  // qrun[d]*(1-eps) exactly when its coordinate is below the first axis
+  // index at or above that bound (the axes ascend).
+  const int* lo() {
+    const EssGrid& grid = d_->diagram_->grid();
+    for (size_t d = 0; d < qrun_.size(); ++d) {
+      const std::vector<double>& axis = grid.axis(static_cast<int>(d));
+      assert(std::is_sorted(axis.begin(), axis.end()));
+      lo_[d] = static_cast<int>(
+          std::lower_bound(axis.begin(), axis.end(),
+                           qrun_[d] * (1.0 - kRelEps)) -
+          axis.begin());
+    }
+    return lo_.data();
+  }
+
+  const std::vector<bool>& learned() const { return learned_; }
+
+  double CostAt(int dense) {
+    return d_->opt_->CostPlanAt(*PlanOf(dense).root, qrun_);
+  }
+
+  bool Execute(size_t k, int dense, int learn_dim) {
+    const BouquetContour& contour = d_->bouquet_->contours[k];
+    res.contours_crossed = static_cast<int>(k);
+    if (!learn_ && span_contour_ != k) {
+      contour_ = obs::Tracer::Begin(d_->tracer_, "driver.contour", run_);
+      contour_.Num("contour", static_cast<double>(k))
+          .Num("budget", contour.budget)
+          .Num("num_plans", static_cast<double>(contour.plan_ids.size()));
+      span_contour_ = k;
+    }
+    const Plan& plan = PlanOf(dense);
+    // Spill subtree: up to the learning dimension's error node.
+    const PlanNode* spill_root = nullptr;
+    if (learn_dim >= 0) {
+      const ErrorDimension& ed = d_->opt_->query().error_dims[learn_dim];
+      spill_root = FindPredicateNode(*plan.root, ed.kind == DimKind::kJoin,
+                                     ed.predicate_index);
+    }
+    DriverStep step;
+    step.contour = static_cast<int>(k);
+    step.plan_id = d_->index_->plan_id(dense);
+    step.plan_signature = plan.signature;
+    step.budget = contour.budget;
+    step.spilled = spill_root != nullptr && spill_root != plan.root.get();
+    step.learned_dim = learn_dim;
+    const PlanNode& root = step.spilled ? *spill_root : *plan.root;
+    ExecContext ctx;
+    std::vector<Row> rows;
+    d_->RunStep(root, std::move(step), learn_ ? run_ : &contour_, &ctx,
+                &rows, &res);
+    if (res.steps.back().completed) {
+      // A generic execution finished: this is the query result. Its
+      // counters pin the actual selectivities down exactly.
+      if (learn_) Harvest(root, &ctx);
+      Done(&rows);
+      return true;
+    }
+    // Aborted: intermediate results jettisoned.
+    if (!learn_) return false;
+    Harvest(root, &ctx);
+    if (std::find(learned_.begin(), learned_.end(), false) !=
+        learned_.end()) {
+      return false;
+    }
+    Finish(static_cast<int>(k));
+    return true;
+  }
+
+  // Contour k's budgets were all exhausted: metric and trace event; a basic
+  // run's contour span ends.
+  void Crossed(size_t k) {
+    if (d_->ins_.contour_crossings != nullptr) {
+      d_->ins_.contour_crossings->Inc();
+    }
+    contour_.End();
+    if (d_->tracer_ != nullptr) {
+      obs::Span ev =
+          obs::Tracer::Begin(d_->tracer_, "driver.contour_jump", run_);
+      ev.Num("from_contour", static_cast<double>(k))
+          .Str("reason", "contour_exhausted");
+      ev.End();
+    }
+  }
+
+  // Every contour was crossed without completing; the last step runs past
+  // them (contour index contours.size()).
+  void Fallback() {
+    res.contours_crossed = static_cast<int>(d_->bouquet_->contours.size());
+    if (learn_) {
+      Finish(res.contours_crossed);
+      return;
+    }
+    // Safety net (the true q_a lies above the last contour, possible when
+    // the grid under-resolves the ESS): run the plan covering the ESS max
+    // corner, the plan guaranteed to handle the largest q_a, without a
+    // budget. The diagram-level assignment is used directly so this also
+    // works when the bouquet has no contours at all (e.g. a degenerate cost
+    // range produced zero IC steps).
+    if (d_->ins_.fallbacks != nullptr) d_->ins_.fallbacks->Inc();
+    const EssGrid& grid = d_->diagram_->grid();
+    const uint64_t corner = grid.LinearIndex(grid.MaxCorner());
+    int fallback = d_->diagram_->plan_at(corner);
+    if (!d_->bouquet_->contours.empty()) {
+      const BouquetContour& last = d_->bouquet_->contours.back();
+      for (size_t i = 0; i < last.points.size(); ++i) {
+        if (last.points[i] == corner) {
+          fallback = last.plan_at[i];
+          break;
+        }
+      }
+    }
+    const Plan& plan = d_->diagram_->plan(fallback);
+    DriverStep step;
+    step.contour = res.contours_crossed;
+    step.plan_id = fallback;
+    step.plan_signature = plan.signature;
+    step.budget = std::numeric_limits<double>::infinity();
+    ExecContext ctx;
+    std::vector<Row> rows;
+    d_->RunStep(*plan.root, std::move(step), run_, &ctx, &rows, &res);
+    Done(&rows);
+    run_->Flag("fallback", true);
+  }
+
+  DriverResult res;
+
+ private:
+  const Plan& PlanOf(int dense) const {
+    return d_->diagram_->plan(d_->index_->plan_id(dense));
+  }
+
+  // Runs the plan optimal at q_run to completion, stamped `contour`. That
+  // plan need not belong to the POSP, so its plan id may be FindPlan's -1
+  // sentinel ("not interned in the diagram"); the signature is recorded as
+  // its identity either way.
+  void Finish(int contour) {
+    const Plan plan = d_->opt_->OptimizeAt(qrun_);
+    assert(!plan.signature.empty() && "final plan must carry a signature");
+    DriverStep step;
+    step.contour = contour;
+    step.plan_id = d_->diagram_->FindPlan(plan.signature);
+    step.plan_signature = plan.signature;
+    step.budget = std::numeric_limits<double>::infinity();
+    ExecContext ctx;
+    std::vector<Row> rows;
+    d_->RunStep(*plan.root, std::move(step), run_, &ctx, &rows, &res);
+    Harvest(*plan.root, &ctx);
+    Done(&rows);
+  }
+
+  // Moves q_run and the learned flags from the counters of an execution of
+  // `root`; records the movement as a "driver.qrun" event and newly learned
+  // dimensions in the dims-learned counter.
+  void Harvest(const PlanNode& root, ExecContext* ctx) {
+    before_ = learned_;
+    const bool moved = d_->HarvestSelectivities(root, ctx, &qrun_, &learned_);
+    int newly = 0;
+    for (size_t d = 0; d < learned_.size(); ++d) {
+      if (learned_[d] && !before_[d]) ++newly;
+    }
+    if (newly > 0 && d_->ins_.dims_learned != nullptr) {
+      d_->ins_.dims_learned->Inc(static_cast<uint64_t>(newly));
+    }
+    if (d_->tracer_ != nullptr && (moved || newly > 0)) {
+      obs::Span ev = obs::Tracer::Begin(d_->tracer_, "driver.qrun", run_);
+      ev.Str("q_run", FormatQrun(qrun_))
+          .Num("dims_learned",
+               static_cast<double>(
+                   std::count(learned_.begin(), learned_.end(), true)));
+      for (size_t d = 0; d < learned_.size(); ++d) {
+        if (learned_[d] && !before_[d]) {
+          ev.Num("learned_dim", static_cast<double>(d));
+        }
+      }
+      ev.End();
+    }
+  }
+
+  // The last step ended the run: the result takes its completion, plan and
+  // rows. A step that failed (e.g. a plan that could not be built) leaves
+  // the run incomplete rather than an empty success.
+  void Done(std::vector<Row>* rows) {
+    const DriverStep& last = res.steps.back();
+    res.completed = last.completed;
+    res.final_plan = last.plan_id;
+    if (res.completed) res.final_plan_signature = last.plan_signature;
+    res.rows = std::move(*rows);
+    res.wall_seconds = Seconds(t0_, WallNow());
+    if (learn_) res.discovered_selectivities = qrun_;
+    run_->Num("contours_crossed", res.contours_crossed)
+        .Num("executions", res.num_executions)
+        .Num("total_cost_units", res.total_cost_units)
+        .Flag("completed", res.completed);
+    if (learn_) run_->Str("q_run", FormatQrun(qrun_));
+  }
+
+  BouquetDriver* d_;
+  const bool learn_;
+  obs::Span* run_;
+  const std::chrono::steady_clock::time_point t0_;
+  DimVector qrun_;
+  std::vector<int> lo_;
+  std::vector<bool> learned_;
+  std::vector<bool> before_;  // learned_ before the latest harvest
+  obs::Span contour_;         // basic runs: the current contour's span
+  size_t span_contour_ = static_cast<size_t>(-1);
+};
+
+DriverResult BouquetDriver::RunBasic() {
+  obs::Span run = obs::Tracer::BeginUnder(tracer_, "driver.run_basic",
+                                          trace_parent_, trace_id_);
+  Backend b(this, /*learn=*/false, &run);
+  ClimbBasic(*bouquet_, *index_, &b);
+  return std::move(b.res);
 }
 
 bool BouquetDriver::HarvestSelectivities(const PlanNode& plan_root,
@@ -365,328 +513,38 @@ bool BouquetDriver::HarvestSelectivities(const PlanNode& plan_root,
 }
 
 DriverResult BouquetDriver::RunOptimized() {
-  DriverResult res;
-  const QuerySpec& q = opt_->query();
-  const EssGrid& grid = diagram_->grid();
-  const int dims = q.NumDims();
-  const auto t0 = WallNow();
   obs::Span run = obs::Tracer::BeginUnder(tracer_, "driver.run_optimized",
                                           trace_parent_, trace_id_);
-
-  DimVector qrun(dims);
-  std::vector<bool> learned(dims, false);
-  for (int d = 0; d < dims; ++d) qrun[d] = q.error_dims[d].lo;
-
-  auto all_learned = [&]() {
-    return std::all_of(learned.begin(), learned.end(),
-                       [](bool b) { return b; });
-  };
-
-  // Records q_run movement and newly-learned dimensions after a harvest
-  // (trace event + dims-learned counter), comparing against `before`.
-  auto observe_harvest = [&](const std::vector<bool>& before, bool moved) {
-    int newly = 0;
-    for (int d = 0; d < dims; ++d) {
-      if (learned[d] && !before[d]) ++newly;
-    }
-    if (newly > 0 && ins_.dims_learned != nullptr) {
-      ins_.dims_learned->Inc(static_cast<uint64_t>(newly));
-    }
-    if (tracer_ != nullptr && (moved || newly > 0)) {
-      obs::Span ev = obs::Tracer::Begin(tracer_, "driver.qrun", &run);
-      ev.Str("q_run", FormatQrun(qrun))
-          .Num("dims_learned",
-               static_cast<double>(
-                   std::count(learned.begin(), learned.end(), true)));
-      for (int d = 0; d < dims; ++d) {
-        if (learned[d] && !before[d]) {
-          ev.Num("learned_dim", static_cast<double>(d));
-        }
-      }
-      ev.End();
-    }
-  };
-
-  auto final_execution = [&](std::chrono::steady_clock::time_point t_begin) {
-    const Plan plan = opt_->OptimizeAt(qrun);
-    obs::Span step_span = obs::Tracer::Begin(tracer_, "driver.step", &run);
-    ExecContext ctx = MakeContext();
-    ctx.tracer = tracer_;
-    ctx.trace_parent = step_span.id();
-    ctx.trace_id = step_span.trace_id();
-    std::vector<Row> rows;
-    const auto t1 = WallNow();
-    const ExecutionOutcome out = ExecutePlanWith(
-        engine_, *plan.root, &ctx, std::numeric_limits<double>::infinity(),
-        &rows);
-    const auto t2 = WallNow();
-    DriverStep step;
-    step.contour = res.contours_crossed;
-    // The plan optimal at the discovered q_run need not belong to the POSP,
-    // so FindPlan may legitimately return the -1 sentinel. The signature is
-    // recorded as the plan's canonical identity either way; -1 here means
-    // "not interned in the diagram", never "unknown plan".
-    step.plan_id = diagram_->FindPlan(plan.signature);
-    step.plan_signature = plan.signature;
-    assert(!plan.signature.empty() && "final plan must carry a signature");
-    step.budget = std::numeric_limits<double>::infinity();
-    step.charged = out.cost_charged;
-    step.wall_seconds = Seconds(t1, t2);
-    step.page_reads = out.page_reads;
-    step.page_hits = out.page_hits;
-    step.completed = out.status == ExecResult::kDone;
-    res.steps.push_back(step);
-    ++res.num_executions;
-    res.total_cost_units += out.cost_charged;
-    res.page_reads += out.page_reads;
-    res.page_hits += out.page_hits;
-    ObserveStep(step, &step_span);
-    res.completed = out.status == ExecResult::kDone;
-    res.final_plan = step.plan_id;
-    if (res.completed) res.final_plan_signature = plan.signature;
-    res.rows = std::move(rows);
-    res.wall_seconds = Seconds(t_begin, t2);
-    const std::vector<bool> before = learned;
-    const bool moved = HarvestSelectivities(*plan.root, &ctx, &qrun, &learned);
-    observe_harvest(before, moved);
-    res.discovered_selectivities = qrun;
-    run.Num("contours_crossed", res.contours_crossed)
-        .Num("executions", res.num_executions)
-        .Num("total_cost_units", res.total_cost_units)
-        .Flag("completed", res.completed)
-        .Str("q_run", FormatQrun(qrun));
-  };
-
-  // Crossing to contour k+1 without completing: metric + trace event.
-  auto observe_crossing = [&](size_t from_k, const char* why) {
-    if (ins_.contour_crossings != nullptr) ins_.contour_crossings->Inc();
-    if (tracer_ != nullptr) {
-      obs::Span ev = obs::Tracer::Begin(tracer_, "driver.contour_jump", &run);
-      ev.Num("from_contour", static_cast<double>(from_k))
-          .Str("reason", why);
-      ev.End();
-    }
-  };
-
-  // Scan scratch, reused across the run's steps.
-  ContourIndex::Scratch scratch(index_);
-  std::vector<int> lo(dims);
-  std::vector<double> costs;
-
-  size_t k = 0;
+  Backend b(this, /*learn=*/true, &run);
   if (warm_start_ > 0) {
     // Feedback warm start: skip the cheap contour prefix. Safe for any
-    // clamped value — see SetWarmStart's contract. Clamp to the LAST
-    // contour, not one past it: the Cmax contour must still execute.
-    k = bouquet_->contours.empty()
-            ? 0
-            : std::min(static_cast<size_t>(warm_start_),
-                       bouquet_->contours.size() - 1);
-    res.warm_contours_skipped = static_cast<int>(k);
+    // clamped value (see SetWarmStart's contract).
+    const size_t k = StartContour(warm_start_, bouquet_->contours.size());
+    b.res.warm_contours_skipped = static_cast<int>(k);
     run.Num("warm_start_contour", static_cast<double>(k));
   }
-  while (k < bouquet_->contours.size()) {
-    const BouquetContour& contour = bouquet_->contours[k];
-    const double budget = contour.budget;
-    res.contours_crossed = static_cast<int>(k);
-
-    if (all_learned()) {
-      final_execution(t0);
-      return res;
-    }
-    // Early skip: optimal cost at the lower-bound location already exceeds
-    // this contour's budget.
-    if (opt_->OptimizeAt(qrun).cost > budget * (1.0 + kRelEps)) {
-      observe_crossing(k, "early_skip");
-      ++k;
-      continue;
-    }
-
-    scratch.ResetExcluded();
-    bool advanced = false;
-    while (!advanced) {
-      if (all_learned()) {
-        final_execution(t0);
-        return res;
-      }
-      // Candidate plans: contour points in the first quadrant of q_run. A
-      // point's selectivity grid.axis(d)[coord] is below qrun[d]*(1-eps)
-      // exactly when its coordinate is below the first axis index at or
-      // above that bound (the axes ascend).
-      for (int d = 0; d < dims; ++d) {
-        const std::vector<double>& axis = grid.axis(d);
-        assert(std::is_sorted(axis.begin(), axis.end()));
-        lo[d] = static_cast<int>(
-            std::lower_bound(axis.begin(), axis.end(),
-                             qrun[d] * (1.0 - kRelEps)) -
-            axis.begin());
-      }
-      index_.Candidates(k, lo.data(), /*want_axis=*/false, &scratch);
-      const std::vector<int>& remaining = scratch.candidates;
-      if (remaining.empty()) {
-        observe_crossing(k, "contour_exhausted");
-        ++k;
-        break;
-      }
-
-      // Pick: cheapest at q_run within a 20% group, deepest unlearned
-      // error node.
-      int chosen = remaining.front();
-      {
-        double min_cost = std::numeric_limits<double>::infinity();
-        costs.resize(remaining.size());
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          costs[i] = opt_->CostPlanAt(
-              *diagram_->plan(index_.plan_id(remaining[i])).root, qrun);
-          min_cost = std::min(min_cost, costs[i]);
-        }
-        int best_depth = -2;
-        for (size_t i = 0; i < remaining.size(); ++i) {
-          if (costs[i] > min_cost * 1.2) continue;
-          int depth = -1;
-          index_.DeepestUnlearned(remaining[i], learned, &depth);
-          if (depth > best_depth) {
-            best_depth = depth;
-            chosen = remaining[i];
-          }
-        }
-      }
-
-      // Learning dimension (deepest unlearned) and its spill subtree.
-      const Plan& plan = diagram_->plan(index_.plan_id(chosen));
-      int learn_depth = -1;
-      const int learn_dim = index_.DeepestUnlearned(chosen, learned,
-                                                    &learn_depth);
-      const PlanNode* spill_root = nullptr;
-      if (learn_dim >= 0) {
-        const ErrorDimension& ed = q.error_dims[learn_dim];
-        spill_root = FindPredicateNode(
-            *plan.root, ed.kind == DimKind::kJoin, ed.predicate_index);
-      }
-      const bool spill_is_full = spill_root == plan.root.get();
-
-      obs::Span step_span = obs::Tracer::Begin(tracer_, "driver.step", &run);
-      ExecContext ctx = MakeContext();
-      ctx.tracer = tracer_;
-      ctx.trace_parent = step_span.id();
-      ctx.trace_id = step_span.trace_id();
-      std::vector<Row> rows;
-      const auto t1 = WallNow();
-      ExecutionOutcome out;
-      if (spill_root != nullptr && !spill_is_full) {
-        out = ExecuteSpilledWith(engine_, *spill_root, &ctx, budget);
-      } else {
-        out = ExecutePlanWith(engine_, *plan.root, &ctx, budget, &rows);
-      }
-      const auto t2 = WallNow();
-
-      DriverStep step;
-      step.contour = static_cast<int>(k);
-      step.plan_id = index_.plan_id(chosen);
-      step.plan_signature = plan.signature;
-      step.budget = budget;
-      step.charged = out.cost_charged;
-      step.wall_seconds = Seconds(t1, t2);
-      step.page_reads = out.page_reads;
-      step.page_hits = out.page_hits;
-      step.spilled = spill_root != nullptr && !spill_is_full;
-      step.learned_dim = learn_dim;
-      step.completed =
-          out.status == ExecResult::kDone && !step.spilled;
-      res.steps.push_back(step);
-      ++res.num_executions;
-      res.total_cost_units += out.cost_charged;
-      res.page_reads += out.page_reads;
-      res.page_hits += out.page_hits;
-      ObserveStep(step, &step_span);
-
-      if (out.status == ExecResult::kDone && !step.spilled) {
-        // A generic execution finished: this is the query result. Harvest
-        // the completed run's counters first — they pin down the actual
-        // selectivities exactly (useful for workload error logs).
-        const std::vector<bool> before = learned;
-        const bool moved =
-            HarvestSelectivities(*plan.root, &ctx, &qrun, &learned);
-        observe_harvest(before, moved);
-        res.completed = true;
-        res.final_plan = step.plan_id;
-        res.final_plan_signature = plan.signature;
-        res.rows = std::move(rows);
-        res.wall_seconds = Seconds(t0, t2);
-        res.discovered_selectivities = qrun;
-        run.Num("contours_crossed", res.contours_crossed)
-            .Num("executions", res.num_executions)
-            .Num("total_cost_units", res.total_cost_units)
-            .Flag("completed", true)
-            .Str("q_run", FormatQrun(qrun));
-        return res;
-      }
-
-      const PlanNode& harvest_root =
-          step.spilled ? *spill_root : *plan.root;
-      {
-        const std::vector<bool> before = learned;
-        const bool moved =
-            HarvestSelectivities(harvest_root, &ctx, &qrun, &learned);
-        observe_harvest(before, moved);
-      }
-      scratch.Exclude(chosen);
-
-      // Early contour change once the optimal cost at q_run exceeds the
-      // budget.
-      if (opt_->OptimizeAt(qrun).cost > budget * (1.0 + kRelEps)) {
-        observe_crossing(k, "qrun_advanced");
-        ++k;
-        advanced = true;
-      }
-    }
-  }
-
-  // All contours exhausted: execute the optimal plan at the discovered
-  // location to completion.
-  res.contours_crossed = static_cast<int>(bouquet_->contours.size());
-  final_execution(t0);
-  return res;
+  ClimbOptimized(*index_, warm_start_, &b);
+  return std::move(b.res);
 }
 
 DriverResult BouquetDriver::RunSinglePlan(const PlanNode& root) {
   DriverResult res;
   obs::Span run = obs::Tracer::BeginUnder(tracer_, "driver.run_single",
                                           trace_parent_, trace_id_);
-  obs::Span step_span = obs::Tracer::Begin(tracer_, "driver.step", &run);
-  ExecContext ctx = MakeContext();
-  ctx.tracer = tracer_;
-  ctx.trace_parent = step_span.id();
-  ctx.trace_id = step_span.trace_id();
-  const auto t1 = WallNow();
-  const ExecutionOutcome out = ExecutePlanWith(
-      engine_, root, &ctx, std::numeric_limits<double>::infinity(), &res.rows);
-  const auto t2 = WallNow();
-  res.completed = out.status == ExecResult::kDone;
-  res.total_cost_units = out.cost_charged;
-  res.wall_seconds = Seconds(t1, t2);
-  res.num_executions = 1;
-  res.page_reads = out.page_reads;
-  res.page_hits = out.page_hits;
-
   // Plan identity: native runs execute arbitrary roots, so the plan may or
   // may not be interned in the diagram — FindPlan's -1 sentinel is valid.
-  const std::string signature = PlanSignature(root);
-  res.final_plan = diagram_->FindPlan(signature);
-  if (res.completed) res.final_plan_signature = signature;
-
   DriverStep step;
   step.contour = DriverStep::kNoContour;  // unbudgeted native run
-  step.plan_id = res.final_plan;
-  step.plan_signature = signature;
+  step.plan_signature = PlanSignature(root);
+  step.plan_id = diagram_->FindPlan(step.plan_signature);
   step.budget = std::numeric_limits<double>::infinity();
-  step.charged = out.cost_charged;
-  step.wall_seconds = res.wall_seconds;
-  step.page_reads = out.page_reads;
-  step.page_hits = out.page_hits;
-  step.completed = res.completed;
-  res.steps.push_back(step);
-  ObserveStep(step, &step_span);
+  ExecContext ctx;
+  RunStep(root, std::move(step), &run, &ctx, &res.rows, &res);
+  const DriverStep& done = res.steps.back();
+  res.completed = done.completed;
+  res.wall_seconds = done.wall_seconds;
+  res.final_plan = done.plan_id;
+  if (res.completed) res.final_plan_signature = done.plan_signature;
   run.Num("executions", 1.0)
       .Num("total_cost_units", res.total_cost_units)
       .Flag("completed", res.completed);

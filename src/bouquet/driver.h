@@ -10,6 +10,7 @@
 #ifndef BOUQUET_BOUQUET_DRIVER_H_
 #define BOUQUET_BOUQUET_DRIVER_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -96,16 +97,24 @@ ContourHistogram HistogramSteps(const std::vector<DriverStep>& steps);
 /// lazy index caches are internally locked.
 class BouquetDriver {
  public:
-  /// All referenced objects must outlive the driver.
+  /// All referenced objects must outlive the driver. Builds the bouquet's
+  /// ContourIndex for this driver.
   BouquetDriver(const PlanBouquet& bouquet, const PlanDiagram& diagram,
                 QueryOptimizer* opt, Database* db);
+  /// Reads `index`, which must be the ContourIndex of `bouquet` over
+  /// `diagram` (a compiled bouquet's simulator keeps one), instead of
+  /// building its own.
+  BouquetDriver(const PlanBouquet& bouquet, const PlanDiagram& diagram,
+                const ContourIndex& index, QueryOptimizer* opt, Database* db);
 
-  /// Basic algorithm: every plan on every contour, generic executions.
+  /// Basic algorithm (the climb of climb.h): every plan on every contour,
+  /// generic executions.
   DriverResult RunBasic();
 
-  /// Optimized algorithm: q_run tracking from instrumentation counters,
-  /// spill-mode learning executions, early contour jumps, and a final
-  /// full execution of the plan that is optimal at the discovered location.
+  /// Optimized algorithm (the climb of climb.h): q_run tracking from
+  /// instrumentation counters, spill-mode learning executions, and, once
+  /// every error dimension is learned or the ladder is exhausted, a full
+  /// execution of the plan that is optimal at the discovered location.
   ///
   /// Known limitation (Section 5.2's "independent appearances" caveat): two
   /// error dimensions whose predicates are evaluated at the *same* plan node
@@ -148,7 +157,8 @@ class BouquetDriver {
   ExecEngine engine() const { return engine_; }
 
  private:
-  ExecContext MakeContext();
+  class Backend;  // the climb's step over the executor
+
   // Pre-resolved metric instruments (null when no registry is attached).
   struct Instruments {
     obs::Counter* executions = nullptr;
@@ -161,6 +171,13 @@ class BouquetDriver {
   // Fills `span` (started before the execution so operator spans nest
   // under it) with the step's record, ends it, and updates the metrics.
   void ObserveStep(const DriverStep& step, obs::Span* span);
+  // One execution of `root` at step.budget (step.spilled: that subtree only,
+  // returning no rows) under a "driver.step" span nested in `parent`. Fills
+  // the step's outcome, appends it to res->steps and adds its charge and
+  // page counts to the totals. `ctx` keeps the instrumentation counters for
+  // a harvest.
+  void RunStep(const PlanNode& root, DriverStep step, const obs::Span* parent,
+               ExecContext* ctx, std::vector<Row>* rows, DriverResult* res);
   // Updates q_run lower bounds from the instrumentation of a finished or
   // aborted execution of `plan_root`; returns true if any bound moved.
   bool HarvestSelectivities(const PlanNode& plan_root, ExecContext* ctx,
@@ -170,7 +187,8 @@ class BouquetDriver {
   const PlanDiagram* diagram_;
   QueryOptimizer* opt_;
   Database* db_;
-  ContourIndex index_;
+  std::unique_ptr<const ContourIndex> own_index_;  // null when shared
+  const ContourIndex* index_;
   ExecEngine engine_ = ExecEngine::kBatch;
   int warm_start_ = 0;
   obs::Tracer* tracer_ = nullptr;

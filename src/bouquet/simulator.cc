@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <utility>
+
+#include "bouquet/climb.h"
 
 namespace bouquet {
 
@@ -49,6 +52,11 @@ BouquetSimulator::BouquetSimulator(const PlanBouquet& bouquet,
                            opt->cost_model(), card, rows);
     est_cost_[d].resize(n);
   }
+  // Safe plan for degraded-mode serving: the bouquet plan whose worst-case
+  // actual cost over the ESS is smallest, ties to the lower dense index.
+  // Each plan's worst cost is tracked as its surface fills, so RunSafe then
+  // serves in O(1).
+  std::vector<double> worst(index_.num_plans(), 0.0);
   DimVector dims;
   for (uint64_t i = 0; i < n; ++i) {
     grid.SelectivityAt(i, &dims);
@@ -56,20 +64,14 @@ BouquetSimulator::BouquetSimulator(const PlanBouquet& bouquet,
     rows.Refresh(sel);
     for (int d = 0; d < index_.num_plans(); ++d) {
       est_cost_[d][i] = recosters[d].CostAt(sel);
+      worst[d] = std::max(
+          worst[d], est_cost_[d][i] * ModelErrorFactor(index_.plan_id(d), i));
     }
   }
-
-  // Safe plan for degraded-mode serving: the bouquet plan whose worst-case
-  // actual cost over the ESS is smallest. est_cost_ is already materialized,
-  // so this is one scan; RunSafe then serves in O(1).
   safe_budget_ = std::numeric_limits<double>::infinity();
   for (int d = 0; d < index_.num_plans(); ++d) {
-    double worst = 0.0;
-    for (uint64_t i = 0; i < n; ++i) {
-      worst = std::max(worst, ActualCost(index_.plan_id(d), i));
-    }
-    if (worst < safe_budget_) {
-      safe_budget_ = worst;
+    if (worst[d] < safe_budget_) {
+      safe_budget_ = worst[d];
       safe_plan_ = index_.plan_id(d);
     }
   }
@@ -103,60 +105,105 @@ double BouquetSimulator::ActualOptimal(uint64_t point) const {
   return pic * ModelErrorFactor(diagram_->plan_at(point), point);
 }
 
-SimResult BouquetSimulator::RunBasic(uint64_t qa) const {
-  SimResult res;
-  int last_plan = -1;
-  double last_progress = 0.0;
-
-  for (size_t k = 0; k < bouquet_->contours.size(); ++k) {
-    const BouquetContour& contour = bouquet_->contours[k];
-    // Execute one plan at this contour's budget; true once the query
-    // completes.
-    auto execute = [&](int plan) {
-      const double c = ActualCost(plan, qa);
-      const double prior =
-          (options_.continue_same_plan && plan == last_plan) ? last_progress
-                                                             : 0.0;
-      ++res.num_executions;
-      SimStep step;
-      step.contour = static_cast<int>(k);
-      step.plan_id = plan;
-      step.budget = contour.budget;
-      if (c <= contour.budget * (1.0 + kEps)) {
-        step.charged = c - prior;
-        step.completed = true;
-        res.total_cost += step.charged;
-        res.steps.push_back(step);
-        res.completed = true;
-        res.final_plan = plan;
-        res.final_contour = static_cast<int>(k);
-        return true;
-      }
-      step.charged = contour.budget - prior;
-      res.total_cost += step.charged;
-      res.steps.push_back(step);
-      last_plan = plan;
-      last_progress = contour.budget;
-      return false;
-    };
-    // Order: resume the previously-running plan first when present, then
-    // the rest in contour order.
-    const std::vector<int>& plans = contour.plan_ids;
-    const size_t resumed = static_cast<size_t>(
-        std::find(plans.begin(), plans.end(), last_plan) - plans.begin());
-    if (resumed < plans.size() && execute(plans[resumed])) return res;
-    for (size_t i = 0; i < plans.size(); ++i) {
-      if (i != resumed && execute(plans[i])) return res;
+// The climb's step over the cost surfaces. An execution of plan P at budget
+// b completes iff P's actual cost at q_a is within b, and otherwise charges
+// b, less the progress a resumed plan already made (continue_same_plan). A
+// spilled execution moves q_run along its learning dimension to the
+// furthest grid index still within b, capped at q_a. A basic climb has no
+// q_run (`qrun` empty), so it neither learns nor records a q_run trace.
+class BouquetSimulator::Backend {
+ public:
+  Backend(const BouquetSimulator& sim, uint64_t qa, GridPoint qrun)
+      : sim_(sim),
+        grid_(sim.diagram_->grid()),
+        qa_(qa),
+        qa_pt_(qrun.empty() ? GridPoint() : grid_.PointAt(qa)),
+        qrun_(std::move(qrun)),
+        qrun_linear_(qrun_.empty() ? 0 : grid_.LinearIndex(qrun_)),
+        learned_(qrun_.size()) {
+    for (size_t d = 0; d < qrun_.size(); ++d) {
+      learned_[d] = qa_pt_[d] == qrun_[d];
     }
   }
 
+  const int* lo() const { return qrun_.data(); }
+  const std::vector<bool>& learned() const { return learned_; }
+  double CostAt(int dense) const { return sim_.est_cost_[dense][qrun_linear_]; }
+
+  bool Execute(size_t k, int dense, int learn_dim) {
+    const int plan = sim_.index_.plan_id(dense);
+    const double budget = sim_.bouquet_->contours[k].budget;
+    const double c = sim_.ActualCost(plan, qa_);
+    const double prior =
+        (sim_.options_.continue_same_plan && plan == last_plan_)
+            ? last_progress_
+            : 0.0;
+    ++res.num_executions;
+    SimStep step;
+    step.contour = static_cast<int>(k);
+    step.plan_id = plan;
+    step.budget = budget;
+    step.learned_dim = learn_dim;
+    if (c <= budget * (1.0 + kEps)) {
+      step.charged = c - prior;
+      step.completed = true;
+      res.total_cost += step.charged;
+      res.steps.push_back(step);
+      if (!qrun_.empty()) res.qrun_trace.push_back(qrun_);
+      res.completed = true;
+      res.final_plan = plan;
+      res.final_contour = static_cast<int>(k);
+      return true;
+    }
+    step.charged = budget - prior;
+    res.total_cost += step.charged;
+    res.steps.push_back(step);
+    last_plan_ = plan;
+    last_progress_ = budget;
+    if (learn_dim >= 0) {
+      int idx = qrun_[learn_dim];
+      for (int trial = idx + 1; trial <= qa_pt_[learn_dim]; ++trial) {
+        const uint64_t pt = grid_.LinearWithDim(qrun_linear_, learn_dim, trial);
+        if (sim_.est_cost_[dense][pt] > budget * (1.0 + kEps)) break;
+        idx = trial;
+      }
+      qrun_linear_ = grid_.LinearWithDim(qrun_linear_, learn_dim, idx);
+      qrun_[learn_dim] = idx;
+      if (idx == qa_pt_[learn_dim]) learned_[learn_dim] = true;
+    }
+    if (!qrun_.empty()) res.qrun_trace.push_back(qrun_);
+    return false;
+  }
+
+  void Crossed(size_t) {}
+
   // Guarantee violated (should not happen): fall back to the optimal plan.
-  res.fallback_used = true;
-  res.total_cost += ActualOptimal(qa);
-  res.completed = true;
-  res.final_plan = diagram_->plan_at(qa);
-  res.final_contour = static_cast<int>(bouquet_->contours.size()) - 1;
-  return res;
+  void Fallback() {
+    res.fallback_used = true;
+    res.total_cost += sim_.ActualOptimal(qa_);
+    res.completed = true;
+    res.final_plan = sim_.diagram_->plan_at(qa_);
+    res.final_contour = static_cast<int>(sim_.bouquet_->contours.size()) - 1;
+  }
+
+  SimResult res;
+
+ private:
+  const BouquetSimulator& sim_;
+  const EssGrid& grid_;
+  const uint64_t qa_;
+  const GridPoint qa_pt_;
+  GridPoint qrun_;
+  uint64_t qrun_linear_;
+  std::vector<bool> learned_;
+  int last_plan_ = -1;
+  double last_progress_ = 0.0;
+};
+
+SimResult BouquetSimulator::RunBasic(uint64_t qa) const {
+  Backend b(*this, qa, GridPoint());
+  ClimbBasic(*bouquet_, index_, &b);
+  return std::move(b.res);
 }
 
 SimResult BouquetSimulator::RunSafe(uint64_t qa) const {
@@ -177,40 +224,14 @@ SimResult BouquetSimulator::RunSafe(uint64_t qa) const {
   return res;
 }
 
-int BouquetSimulator::PickPlan(const std::vector<int>& pool,
-                               uint64_t qrun_linear,
-                               const std::vector<bool>& dim_learned) const {
-  assert(!pool.empty());
-  // Cheapest cost-equivalence group at q_run, then deepest error node among
-  // not-yet-learned dimensions.
-  double min_cost = std::numeric_limits<double>::infinity();
-  for (int dense : pool) {
-    min_cost = std::min(min_cost, est_cost_[dense][qrun_linear]);
-  }
-  const double cutoff = min_cost * (1.0 + options_.cost_group_width);
-  int best = pool.front();
-  int best_depth = -2;
-  for (int dense : pool) {
-    if (est_cost_[dense][qrun_linear] > cutoff) continue;
-    int depth = -1;
-    index_.DeepestUnlearned(dense, dim_learned, &depth);
-    if (depth > best_depth) {
-      best_depth = depth;
-      best = dense;
-    }
-  }
-  return best;
-}
-
 SimResult BouquetSimulator::RunOptimized(uint64_t qa) const {
   return RunOptimizedFrom(qa, GridPoint(diagram_->grid().dims(), 0), 0);
 }
 
 SimResult BouquetSimulator::RunOptimizedWarm(uint64_t qa,
                                              int start_contour) const {
-  return RunOptimizedFrom(
-      qa, GridPoint(diagram_->grid().dims(), 0),
-      static_cast<size_t>(std::max(0, start_contour)));
+  return RunOptimizedFrom(qa, GridPoint(diagram_->grid().dims(), 0),
+                          start_contour);
 }
 
 SimResult BouquetSimulator::RunOptimizedSeeded(uint64_t qa,
@@ -228,116 +249,12 @@ SimResult BouquetSimulator::RunOptimizedSeeded(uint64_t qa,
 }
 
 SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa, GridPoint qrun,
-                                             size_t start_contour) const {
-  SimResult res;
-  const EssGrid& grid = diagram_->grid();
-  const GridPoint qa_pt = grid.PointAt(qa);
-  const int dims = grid.dims();
-
-  std::vector<bool> dim_learned(dims, false);
-  for (int d = 0; d < dims; ++d) dim_learned[d] = (qa_pt[d] == qrun[d]);
-
-  int last_plan = -1;
-  double last_progress = 0.0;
-  ContourIndex::Scratch scratch(index_);
-
-  // Clamp to the LAST contour, not one past it: a warm start beyond the
-  // ladder still has to execute the Cmax contour to complete.
-  size_t k = bouquet_->contours.empty()
-                 ? 0
-                 : std::min(start_contour, bouquet_->contours.size() - 1);
-  res.start_contour = static_cast<int>(k);
-  while (k < bouquet_->contours.size()) {
-    const double budget = bouquet_->contours[k].budget;
-
-    // Early skip: even the optimal plan at the (lower-bound) q_run exceeds
-    // this contour's budget, so nothing here can complete.
-    if (diagram_->cost_at(grid.LinearIndex(qrun)) > budget * (1.0 + kEps)) {
-      ++k;
-      continue;
-    }
-
-    scratch.ResetExcluded();
-    bool advanced = false;
-    while (!advanced) {
-      // Candidates: plans with at least one contour point in the first
-      // quadrant of q_run, not yet executed on this contour; axis plans:
-      // those with a point on an axis through q_run.
-      index_.Candidates(k, qrun.data(), /*want_axis=*/true, &scratch);
-      if (scratch.candidates.empty()) {
-        ++k;
-        break;
-      }
-
-      const uint64_t qrun_linear = grid.LinearIndex(qrun);
-      const int dense = PickPlan(
-          scratch.axis.empty() ? scratch.candidates : scratch.axis,
-          qrun_linear, dim_learned);
-      const int plan = index_.plan_id(dense);
-      // Learning dimension: deepest error node among unlearned dims.
-      int learn_depth = -1;
-      const int learn_dim =
-          index_.DeepestUnlearned(dense, dim_learned, &learn_depth);
-
-      const double c = ActualCost(plan, qa);
-      const double prior =
-          (options_.continue_same_plan && plan == last_plan) ? last_progress
-                                                             : 0.0;
-      ++res.num_executions;
-      SimStep step;
-      step.contour = static_cast<int>(k);
-      step.plan_id = plan;
-      step.budget = budget;
-      step.learned_dim = learn_dim;
-      if (c <= budget * (1.0 + kEps)) {
-        step.charged = c - prior;
-        step.completed = true;
-        res.total_cost += step.charged;
-        res.steps.push_back(step);
-        res.qrun_trace.push_back(qrun);
-        res.completed = true;
-        res.final_plan = plan;
-        res.final_contour = static_cast<int>(k);
-        return res;
-      }
-      step.charged = budget - prior;
-      res.total_cost += step.charged;
-      res.steps.push_back(step);
-      last_plan = plan;
-      last_progress = budget;
-      scratch.Exclude(dense);
-
-      // Spill-based learning: move q_run along the learning dimension to the
-      // furthest grid index still within budget (capped at the truth).
-      if (learn_dim >= 0) {
-        int idx = qrun[learn_dim];
-        for (int trial = idx + 1; trial <= qa_pt[learn_dim]; ++trial) {
-          const uint64_t pt = grid.LinearWithDim(qrun_linear, learn_dim, trial);
-          if (est_cost_[dense][pt] > budget * (1.0 + kEps)) break;
-          idx = trial;
-        }
-        qrun[learn_dim] = idx;
-        if (idx == qa_pt[learn_dim]) dim_learned[learn_dim] = true;
-      }
-      res.qrun_trace.push_back(qrun);
-
-      // Early contour change: optimal cost at q_run already exceeds the
-      // current budget.
-      if (diagram_->cost_at(grid.LinearIndex(qrun)) >
-          budget * (1.0 + kEps)) {
-        ++k;
-        advanced = true;
-      }
-    }
-  }
-
-  // Guarantee violated (should not happen): fall back to the optimal plan.
-  res.fallback_used = true;
-  res.total_cost += ActualOptimal(qa);
-  res.completed = true;
-  res.final_plan = diagram_->plan_at(qa);
-  res.final_contour = static_cast<int>(bouquet_->contours.size()) - 1;
-  return res;
+                                             int start_contour) const {
+  Backend b(*this, qa, std::move(qrun));
+  b.res.start_contour = static_cast<int>(
+      StartContour(start_contour, bouquet_->contours.size()));
+  ClimbOptimized(index_, start_contour, &b);
+  return std::move(b.res);
 }
 
 double BouquetSimulator::SubOpt(const SimResult& result, uint64_t qa) const {

@@ -61,16 +61,15 @@ struct SimOptions {
   /// Section 3.4: deterministic per-(plan,point) cost modeling error in
   /// [1/(1+delta), (1+delta)] applied to "actual" execution costs.
   double model_error_delta = 0.0;
-  /// Cost-equivalence clustering width of the AxisPlans heuristic.
-  double cost_group_width = 0.2;
 };
 
 /// Simulator bound to a bouquet + diagram. Precomputes the cost surface of
 /// every bouquet plan over the full grid (one linear sweep of incremental
-/// PlanRecosters sharing one row table over the plans' join subsets) and
-/// the bouquet's ContourIndex, so individual runs are
-/// grid-free lookups, and a run's steps allocate nothing beyond the steps
-/// and q_run trace it returns.
+/// PlanRecosters sharing one row table over the plans' join subsets, which
+/// also finds the safe plan) and the bouquet's ContourIndex, so individual
+/// runs are grid-free lookups, and a run's steps allocate nothing beyond the
+/// steps and q_run trace it returns. The runs are the climb of climb.h over
+/// these surfaces.
 ///
 /// Thread-safety: construction only reads the passed QueryOptimizer's
 /// query, catalog and cost model, and is single-threaded; afterwards the
@@ -141,18 +140,16 @@ class BouquetSimulator {
 
   const PlanBouquet& bouquet() const { return *bouquet_; }
   const PlanDiagram& diagram() const { return *diagram_; }
+  /// The bouquet's contour index, shared with the drivers that serve it.
+  const ContourIndex& index() const { return index_; }
 
  private:
+  class Backend;  // the climb's step over the cost surfaces
+
   int DenseIndex(int plan_id) const;
   double ModelErrorFactor(int plan_id, uint64_t point) const;
   SimResult RunOptimizedFrom(uint64_t qa, GridPoint qrun,
-                             size_t start_contour) const;
-  // The AxisPlans selection heuristic over dense plans: from `pool` (the
-  // contour's axis plans wrt q_run when there are any, else all of its
-  // candidates), the deepest error node among unlearned dimensions within
-  // the cheapest cost group at q_run; ties go to the earlier plan.
-  int PickPlan(const std::vector<int>& pool, uint64_t qrun_linear,
-               const std::vector<bool>& dim_learned) const;
+                             int start_contour) const;
 
   const PlanBouquet* bouquet_;
   const PlanDiagram* diagram_;

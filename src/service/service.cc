@@ -464,10 +464,11 @@ void BouquetService::ExecuteWithBundle(
     }
   } else {
     // Per-request optimizer + driver: both are bound to this request's
-    // constants and neither is shared across threads.
+    // constants and neither is shared across threads. The contour index is
+    // the bundle's, built once when it was compiled or loaded.
     QueryOptimizer run_opt(request.query, *catalog_, options_.cost_params);
-    BouquetDriver driver(*c->bouquet, *c->diagram, &run_opt,
-                         options_.database);
+    BouquetDriver driver(*c->bouquet, *c->diagram, c->simulator->index(),
+                         &run_opt, options_.database);
     driver.SetObservability(options_.tracer, options_.metrics, req_span);
     driver.SetWarmStart(warm_start);
     r.real = driver.RunOptimized();

@@ -387,7 +387,7 @@ TEST(DriverGoldenTest, PagedStepSequencesPinned) {
       FoldDriverRun(driver.RunBasic(), &g);
     }
   }
-  EXPECT_EQ(g.value(), 0xbe4de4d6bdb0622bULL);
+  EXPECT_EQ(g.value(), 0x8259cd7a38a25dc7ULL);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "bouquet/bounds.h"
 #include "bouquet/simulator.h"
 #include "ess/posp_generator.h"
@@ -173,6 +176,32 @@ TEST(SimulatorTest, CostMatrixMatchesRecost) {
           p.opt.CostPlanAt(*p.diagram.plan(pid).root, p.grid.SelectivityAt(q));
       EXPECT_DOUBLE_EQ(sim.EstimatedCost(pid, q), direct);
     }
+  }
+}
+
+// The safe plan, found while the cost surfaces fill, is the one a separate
+// scan over every (plan, point) finds: the least worst-case actual cost,
+// ties to the plan listed first in the bouquet.
+TEST(SimulatorTest, SafePlanMinimizesWorstActualCost) {
+  Pipeline p("3D_H_Q7", {7, 7, 7});
+  for (double delta : {0.0, 0.3}) {
+    SimOptions opts;
+    opts.model_error_delta = delta;
+    BouquetSimulator sim(p.bouquet, p.diagram, &p.opt, opts);
+    int want_plan = -1;
+    double want_budget = std::numeric_limits<double>::infinity();
+    for (int pid : p.bouquet.plan_ids) {
+      double worst = 0.0;
+      for (uint64_t q = 0; q < p.grid.num_points(); ++q) {
+        worst = std::max(worst, sim.ActualCost(pid, q));
+      }
+      if (worst < want_budget) {
+        want_budget = worst;
+        want_plan = pid;
+      }
+    }
+    EXPECT_EQ(sim.safe_plan(), want_plan) << "delta " << delta;
+    EXPECT_EQ(sim.safe_budget(), want_budget) << "delta " << delta;
   }
 }
 
