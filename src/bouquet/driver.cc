@@ -160,6 +160,7 @@ void BouquetDriver::RunStep(const PlanNode& root, DriverStep step,
   step.wall_seconds = Seconds(t1, t2);
   step.page_reads = out.page_reads;
   step.page_hits = out.page_hits;
+  step.tape_events = out.tape_events;
   step.completed = out.status == ExecResult::kDone && !step.spilled;
   res->total_cost_units += out.cost_charged;
   res->page_reads += out.page_reads;

@@ -42,6 +42,9 @@ struct DriverStep {
   /// in-memory databases); reads are misses, hits are cached pages.
   int64_t page_reads = 0;
   int64_t page_hits = 0;
+  /// Metering-tape events the batch engine replayed for this execution
+  /// (ExecutionOutcome::tape_events); zero under the scalar engine.
+  int64_t tape_events = 0;
   bool completed = false;
   bool spilled = false;
   int learned_dim = -1;

@@ -33,12 +33,13 @@
 #endif
 
 /// Tags a field as MSO-charge-critical (the CostMeter accumulator, the
-/// context page counters). bouquet-charge-order then restricts mutations to
-/// single scalar adds (`f += unit`, `++f`) or literal resets (`f = 0`):
-/// bulk sums, `std::accumulate`/`std::reduce`, and reassociable compound
-/// right-hand sides would change floating-point association, so replayed
-/// charges could diverge from the scalar engine's in the last bit — enough
-/// to move a budget-abort point across engines.
+/// context page counters). bouquet-charge-order then requires an integral
+/// type — the fixed-point charge type FixedCost or a count — so the
+/// field's sums are exact however the engines group and order their adds
+/// (the batch replay multiplies runs of equal charges, and an unbudgeted
+/// execution adds its charges in no particular order). A floating-point
+/// accumulator would show that grouping in the last bit, enough to move a
+/// budget-abort point across engines.
 #define BOUQUET_CHARGED BOUQUET_LINT_ANNOTATE("charged")
 
 /// Escape hatch for bouquet-determinism, placed on the function (or type)

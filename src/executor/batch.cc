@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <unordered_map>
 
 #include "executor/binding.h"
@@ -23,69 +22,60 @@ using batch_internal::Tape;
 
 void BatchExecState::SetBuffer(storage::BufferManager* bm) {
   buffer_ = bm;
-  const auto& p = ctx_->cost_model->params();
-  page_hit_cost_ = p.buffer_hit_page_cost;
-  page_seq_cost_ = p.seq_page_cost;
-  page_rand_cost_ = p.random_page_cost;
+  const FixedPrices price(ctx_->cost_model->params());
+  page_hit_cost_ = price.page_hit;
+  page_seq_cost_ = price.page_seq;
+  page_rand_cost_ = price.page_rand;
 }
 
 bool BatchExecState::Replay(const std::vector<MeterEvent>& events,
                             uint16_t root_slot, int64_t* root_emits) {
   if (aborted_) return false;
-  CostMeter& meter = ctx_->meter;
-  // The dependent chain of one-unit adds is the replay hot path. Keep the
-  // accumulator and budget in locals so they live in registers across the
-  // whole tape: the counter stores below would otherwise force the compiler
-  // to reload the meter through ctx_ on every single add. One add per
-  // logical tuple, never a pre-summed bulk charge — double addition is
-  // order-sensitive and the scalar engine adds one unit at a time.
-  double charged = meter.charged();
-  const double budget = meter.budget();
-  if (budget == std::numeric_limits<double>::infinity()) {
-    return ReplayNoAbort(events, root_slot, root_emits, charged);
-  }
-  // Single fused loop body: every charge kind shares the per-unit add loop
-  // and differs only in which counter absorbs the completed units. The
-  // kFinish test is almost never taken; the counter branches follow the
-  // tape's short repeating kind pattern, so they predict well.
+  // The accumulator and budget live in locals across the tape; the meter
+  // takes the tape's sum in one add at the end (integer sums do not depend
+  // on how they are grouped).
+  const FixedCost start = ctx_->meter.charged();
+  const FixedCost budget = ctx_->meter.budget();
+  FixedCost charged = start;
   NodeCounters* const* ncs = nc_.data();
-  const PlanNode* const* nds = nodes_.data();
-  const MeterEvent* e = events.data();
-  const MeterEvent* const end = e + events.size();
+  const MeterEvent* const begin = events.data();
+  const MeterEvent* const end = begin + events.size();
+  const MeterEvent* e = begin;
   for (; e != end; ++e) {
     if (e->kind == EvKind::kFinish) {
-      ctx_->instr.FinishNode(nds[e->node]);
+      if (unbounded_) SettleSlot(e->node);
+      ctx_->instr.FinishNode(nodes_[e->node]);
       continue;
     }
     if (e->kind == EvKind::kPageSeq || e->kind == EvKind::kPageRand) {
       // Replay-time accounting: the Access() here is the same deterministic
       // replacement-state transition the scalar engine performs at access
       // time, executed in the identical (scalar charge) order — so hit/miss
-      // outcomes, and therefore every subsequent add, match bit for bit.
-      const bool hit =
-          buffer_->Access(storage::PageId{e->file, e->page});
+      // outcomes, and therefore every price, match exactly.
+      const bool hit = buffer_->Access(storage::PageId{e->file, e->page});
       if (hit) {
         ctx_->page_hits_charged++;
       } else {
         ctx_->page_reads_charged++;
       }
-      charged += hit ? page_hit_cost_
-                     : (e->kind == EvKind::kPageSeq ? page_seq_cost_
-                                                    : page_rand_cost_);
-      if (!(charged <= budget)) {
-        meter.RestoreCharged(charged);
-        aborted_ = true;
-        return false;
-      }
+      charged = SatAdd(charged, hit ? page_hit_cost_
+                                    : (e->kind == EvKind::kPageSeq
+                                           ? page_seq_cost_
+                                           : page_rand_cost_));
+      if (charged > budget) break;
       continue;
     }
-    const double unit = e->unit;
-    const uint32_t count = e->count;
-    uint32_t done = 0;
-    while (done < count) {
-      charged += unit;
-      if (!(charged <= budget)) break;
-      ++done;
+    // A run of `count` charges: one multiply when it fits the budget. When
+    // it does not, the units that fit are one division away, and the next
+    // one trips the meter — the unit a scalar run would have stopped on.
+    const FixedCost unit = e->unit;
+    int64_t done = e->count;
+    const FixedCost next = SatAdd(charged, SatMul(unit, done));
+    if (next <= budget) {
+      charged = next;
+    } else {
+      done = (budget - charged) / unit;  // unit > 0: the run overshoots
+      charged = SatAdd(charged, SatMul(unit, done + 1));
     }
     if (e->kind == EvKind::kChargeScan) {
       assert(ncs[e->node] != nullptr && "charge before touch");
@@ -95,82 +85,29 @@ bool BatchExecState::Replay(const std::vector<MeterEvent>& events,
       ncs[e->node]->AddOut(done);
       if (root_emits != nullptr && e->node == root_slot) *root_emits += done;
     }
-    if (done < count) {
-      meter.RestoreCharged(charged);
-      aborted_ = true;
-      return false;
-    }
+    if (charged > budget) break;
   }
-  meter.RestoreCharged(charged);
-  return true;
+  tape_events_ += (e - begin) + (e != end ? 1 : 0);
+  if (!ctx_->meter.Charge(charged - start)) aborted_ = true;
+  return !aborted_;
 }
 
-// With an infinite budget no add can trip the meter (units are finite, and
-// even an accumulator that saturates to +inf still satisfies charged <=
-// budget), so the per-unit abort checks — whose variable trip counts cost a
-// branch mispredict per event — are dead. Counters absorb whole events, and
-// the unit values expand into a flat scratch array (branch-light broadcast
-// stores, overwrite slack below) consumed by one long dependent-add loop:
-// the exact same add sequence the event-by-event path performs, bit for bit.
-bool BatchExecState::ReplayNoAbort(const std::vector<MeterEvent>& events,
-                                   uint16_t root_slot, int64_t* root_emits,
-                                   double charged) {
-  NodeCounters* const* ncs = nc_.data();
-  const PlanNode* const* nds = nodes_.data();
-  size_t total = 0;
-  for (const MeterEvent& e : events) {
-    if (e.kind != EvKind::kFinish) total += e.count;
+void BatchExecState::SettleSlot(uint16_t slot) {
+  batch_internal::ChargeTotals::Counts& c = totals_.slots[slot];
+  if (c.scanned == 0 && c.out == 0) return;
+  assert(nc_[slot] != nullptr && "charge before touch");
+  nc_[slot]->AddScanned(c.scanned);
+  nc_[slot]->AddOut(c.out);
+  c = {};
+}
+
+void BatchExecState::SettleDirect() {
+  if (!unbounded_) return;
+  for (size_t slot = 0; slot < totals_.slots.size(); ++slot) {
+    SettleSlot(static_cast<uint16_t>(slot));
   }
-  // Grow-only scratch (+8: broadcast stores may overshoot the tail). A
-  // plain resize would shrink and re-grow across calls, value-initializing
-  // the delta every time.
-  if (units_.size() < total + 8) units_.resize(total + 8);
-  double* u = units_.data();
-  size_t idx = 0;
-  for (const MeterEvent& e : events) {
-    if (e.kind == EvKind::kFinish) {
-      ctx_->instr.FinishNode(nds[e.node]);
-      continue;
-    }
-    if (e.kind == EvKind::kPageSeq || e.kind == EvKind::kPageRand) {
-      // Access() runs in event order here too; only the meter adds are
-      // deferred to the flat loop below, which walks u[] in the same order.
-      const bool hit = buffer_->Access(storage::PageId{e.file, e.page});
-      if (hit) {
-        ctx_->page_hits_charged++;
-      } else {
-        ctx_->page_reads_charged++;
-      }
-      u[idx++] = hit ? page_hit_cost_
-                     : (e.kind == EvKind::kPageSeq ? page_seq_cost_
-                                                   : page_rand_cost_);
-      continue;
-    }
-    const double unit = e.unit;
-    const uint32_t count = e.count;
-    // Unconditional 8-wide stores; idx advances by the true count, so any
-    // overshoot lands in slack or is overwritten by the next event. Typical
-    // RLE runs are short, so the wide block keeps the loop trip count near
-    // one and the branch predictable.
-    for (uint32_t i = 0; i < count; i += 8) {
-      double* w = u + idx + i;
-      w[0] = w[1] = w[2] = w[3] = w[4] = w[5] = w[6] = w[7] = unit;
-    }
-    idx += count;
-    if (e.kind == EvKind::kChargeScan) {
-      assert(ncs[e.node] != nullptr && "charge before touch");
-      ncs[e.node]->AddScanned(count);
-    } else if (e.kind == EvKind::kChargeEmit) {
-      assert(ncs[e.node] != nullptr && "charge before touch");
-      ncs[e.node]->AddOut(count);
-      if (root_emits != nullptr && e.node == root_slot) *root_emits += count;
-    }
-  }
-  // One add per logical tuple, in tape order — never reassociated (no
-  // fast-math in this build) and never bulk-summed.
-  for (size_t k = 0; k < idx; ++k) charged += u[k];
-  ctx_->meter.RestoreCharged(charged);
-  return true;
+  ctx_->meter.Charge(totals_.charged);  // an unbounded meter never trips
+  totals_.charged = 0;
 }
 
 int BatchOp::FindColumn(int table_idx, int col_idx) const {
@@ -371,16 +308,16 @@ class BatchSeqScanOp : public BatchOp {
       // replay; the per-row charge is the pure CPU part (same expression
       // grouping as the scalar SeqScanOp).
       nrows_ = paged_->num_rows();
-      per_row_charge_ =
-          p.cpu_tuple_cost + filters.size() * p.cpu_operator_cost;
+      per_row_charge_ = FixedFromCost(p.cpu_tuple_cost +
+                                      filters.size() * p.cpu_operator_cost);
       st->SetBuffer(paged_->buffer());
       scratch_.resize(static_cast<size_t>(table_->num_columns()) *
                       static_cast<size_t>(paged_->rows_per_page()));
     } else {
       nrows_ = table_->num_rows();
-      per_row_charge_ =
+      per_row_charge_ = FixedFromCost(
           p.seq_page_cost * info.stats.row_width_bytes / p.page_size_bytes +
-          p.cpu_tuple_cost + filters.size() * p.cpu_operator_cost;
+          p.cpu_tuple_cost + filters.size() * p.cpu_operator_cost);
     }
     // Conjunctive predicates on the same column intersect into one range
     // (a BETWEEN pair costs the kernels a single window test). The scalar
@@ -453,7 +390,6 @@ class BatchSeqScanOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
     const int bsz = std::max(1, st_->ctx()->batch_size);
     const int ncols = table_->num_columns();
     const int64_t nrows = nrows_;
@@ -533,7 +469,7 @@ class BatchSeqScanOp : public BatchOp {
         const int32_t i = sel_[k];
         out->tape.ChargeScan(slot_, per_row_charge_,
                              static_cast<uint32_t>(i - prev));
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+        out->tape.ChargeEmit(slot_, price_.tuple);
         out->MarkRow();
         prev = i;
       }
@@ -558,7 +494,7 @@ class BatchSeqScanOp : public BatchOp {
   const storage::PagedTable* paged_;
   std::vector<RangePred> ranges_;
   bool never_match_ = false;
-  double per_row_charge_;
+  FixedCost per_row_charge_;
   int64_t nrows_;
   int64_t next_row_ = 0;
   uint32_t emitted_page_ = 0;  // page 0 is meta — never a data page
@@ -583,19 +519,22 @@ class BatchIndexScanOp : public BatchOp {
     const std::string& tname = ctx->query->tables[node->table_idx];
     table_ = &ctx->db->table(tname);
     paged_ = ctx->db->paged(tname);
-    nrows_ = paged_ != nullptr ? paged_->num_rows() : table_->num_rows();
+    const int64_t nrows =
+        paged_ != nullptr ? paged_->num_rows() : table_->num_rows();
     matches_ = ctx->db->sorted_index(tname, qual_col).Range(qual_lo, qual_hi);
+    // Same expressions as the scalar IndexScanOp, rounded the same way. On
+    // paged storage the random page part becomes a kPageRand event per
+    // match, priced at replay; the CPU part stays a per-match tape charge.
     const auto& p = ctx->cost_model->params();
-    per_match_ = p.random_page_cost + p.cpu_index_tuple_cost +
-                 p.cpu_tuple_cost +
-                 (filters_.size() > 0 ? filters_.size() - 1 : 0) *
-                     p.cpu_operator_cost;
-    // Paged split (same expression grouping as the scalar IndexScanOp): the
-    // random page part becomes a kPageRand event per match, priced at
-    // replay; the CPU part stays a per-match tape charge.
-    per_match_cpu_ =
+    descent_ = FixedFromCost(p.random_page_cost +
+                             4.0 * p.cpu_operator_cost *
+                                 std::log2(nrows + 2.0));
+    per_match_cpu_ = FixedFromCost(
         p.cpu_index_tuple_cost + p.cpu_tuple_cost +
-        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost;
+        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
+    per_match_ = FixedFromCost(
+        p.random_page_cost + p.cpu_index_tuple_cost + p.cpu_tuple_cost +
+        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
     if (paged_ != nullptr) {
       st->SetBuffer(paged_->buffer());
       row_buf_.resize(table_->num_columns());
@@ -613,13 +552,9 @@ class BatchIndexScanOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
     if (!descent_charged_) {
       descent_charged_ = true;
-      out->tape.Charge(slot_,
-                       p.random_page_cost +
-                           4.0 * p.cpu_operator_cost *
-                               std::log2(nrows_ + 2.0));
+      out->tape.Charge(slot_, descent_);
     }
     const int bsz = std::max(1, st_->ctx()->batch_size);
     const int ncols = table_->num_columns();
@@ -652,7 +587,7 @@ class BatchIndexScanOp : public BatchOp {
         const int32_t i = sel_[k];
         out->tape.ChargeScan(slot_, per_match_,
                              static_cast<uint32_t>(i - prev));
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+        out->tape.ChargeEmit(slot_, price_.tuple);
         out->MarkRow();
         prev = i;
       }
@@ -679,7 +614,6 @@ class BatchIndexScanOp : public BatchOp {
   // out of a pinned page. Tape order per match — page event, ChargeScan,
   // then ChargeEmit for survivors — mirrors the scalar charge order.
   ExecResult NextBatchPaged(ColumnBatch* out, int bsz, int ncols) {
-    const auto& p = st_->ctx()->cost_model->params();
     while (out->n < bsz) {
       if (next_ >= matches_.size()) {
         guard_ = storage::PageGuard();
@@ -706,7 +640,7 @@ class BatchIndexScanOp : public BatchOp {
         }
       }
       if (!pass) continue;
-      out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+      out->tape.ChargeEmit(slot_, price_.tuple);
       for (int c = 0; c < ncols; ++c) out->cols[c].push_back(row_buf_[c]);
       out->MarkRow();
     }
@@ -715,11 +649,11 @@ class BatchIndexScanOp : public BatchOp {
 
   const DataTable* table_;
   const storage::PagedTable* paged_;
-  int64_t nrows_;
   std::vector<BoundFilter> filters_;
   std::vector<uint32_t> matches_;
-  double per_match_;
-  double per_match_cpu_;
+  FixedCost descent_;
+  FixedCost per_match_;
+  FixedCost per_match_cpu_;
   size_t next_ = 0;
   bool descent_charged_ = false;
   uint32_t cur_page_ = 0;  // page 0 is meta — never a data page
@@ -747,8 +681,8 @@ class BatchHashJoinOp : public BatchOp {
     schema_ = left_->schema();
     schema_.insert(schema_.end(), right_->schema().begin(),
                    right_->schema().end());
-    lbatch_.Configure(left_->schema().size());
-    rbatch_.Configure(right_->schema().size());
+    lbatch_.Configure(left_->schema().size(), st->direct());
+    rbatch_.Configure(right_->schema().size(), st->direct());
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -783,9 +717,10 @@ class BatchHashJoinOp : public BatchOp {
   ExecResult Build() {
     const auto& p = st_->ctx()->cost_model->params();
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
+    const FixedCost build_charge = FixedFromCost(hash_op + p.cpu_tuple_cost);
     const size_t rcols = right_->schema().size();
     bcols_.assign(rcols, {});
-    Tape phase;
+    Tape phase(st_->direct());
     int64_t build_rows = 0;
     for (;;) {
       rbatch_.Reset();
@@ -794,7 +729,7 @@ class BatchHashJoinOp : public BatchOp {
       phase.Clear();
       for (int64_t j = 0; j < rbatch_.n; ++j) {
         phase.Append(rbatch_.tape, rbatch_.SegBegin(j), rbatch_.SegEnd(j));
-        phase.Charge(slot_, hash_op + p.cpu_tuple_cost);
+        phase.Charge(slot_, build_charge);
       }
       phase.Append(rbatch_.tape, rbatch_.TailBegin(), rbatch_.tape.size());
       if (!st_->Replay(phase.events())) return ExecResult::kAborted;
@@ -808,16 +743,18 @@ class BatchHashJoinOp : public BatchOp {
     // Multi-batch spill charge — expressions identical to the scalar engine.
     const size_t row_slots = build_rows > 0 ? rcols : size_t{1};
     const double build_width = 8.0 * static_cast<double>(row_slots);
+    double probe_spill_charge = 0.0;
     if (static_cast<double>(build_rows) * build_width > p.work_mem_bytes) {
       const double build_pages =
           static_cast<double>(build_rows) * build_width / p.page_size_bytes;
-      Tape t;
-      t.Charge(slot_,
-               2.0 * p.seq_page_cost * std::max(1.0, build_pages));
+      Tape t(st_->direct());
+      t.Charge(slot_, FixedFromCost(2.0 * p.seq_page_cost *
+                                    std::max(1.0, build_pages)));
       if (!st_->Replay(t.events())) return ExecResult::kAborted;
-      probe_spill_charge_ =
+      probe_spill_charge =
           2.0 * p.seq_page_cost * build_width / p.page_size_bytes;
     }
+    probe_charge_ = FixedFromCost(hash_op + probe_spill_charge);
     // Chain table. Prepending in reverse row order makes each chain yield
     // ascending row indices, i.e. insertion order — the same per-key match
     // order the scalar engine's bucket vectors produce.
@@ -840,9 +777,6 @@ class BatchHashJoinOp : public BatchOp {
   // output as one tight gather loop per column. The tape sees the identical
   // event sequence either way — only the data plane is restructured.
   void ProbeBatch(ColumnBatch* out) {
-    const auto& p = st_->ctx()->cost_model->params();
-    const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
-    const double probe_charge = hash_op + probe_spill_charge_;
     const int lw = static_cast<int>(left_->schema().size());
     const size_t rw = right_->schema().size();
     const int64_t* lkeys =
@@ -852,7 +786,7 @@ class BatchHashJoinOp : public BatchOp {
     match_b_.clear();
     for (int64_t j = 0; j < lbatch_.n; ++j) {
       out->tape.Append(lbatch_.tape, lbatch_.SegBegin(j), lbatch_.SegEnd(j));
-      out->tape.Charge(slot_, probe_charge);
+      out->tape.Charge(slot_, probe_charge_);
       const int64_t key = lkeys[j];
       for (int32_t i = head_[HashKey(key) & mask_]; i >= 0; i = next_[i]) {
         if (bkeys[i] != key) continue;
@@ -865,7 +799,7 @@ class BatchHashJoinOp : public BatchOp {
           }
         }
         if (!ok) continue;
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+        out->tape.ChargeEmit(slot_, price_.tuple);
         match_l_.push_back(static_cast<int32_t>(j));
         match_b_.push_back(i);
         out->MarkRow();
@@ -902,7 +836,7 @@ class BatchHashJoinOp : public BatchOp {
   std::vector<BoundEquality> residual_;
 
   bool built_ = false;
-  double probe_spill_charge_ = 0.0;
+  FixedCost probe_charge_ = 0;  // hash op plus any spill pass, per probe row
   std::vector<std::vector<int64_t>> bcols_;  // columnar build store
   std::vector<int32_t> head_;
   std::vector<int32_t> next_;
@@ -952,7 +886,7 @@ class BatchMergeJoinOp : public BatchOp {
                        int64_t* nrows) {
     cols->assign(side->schema().size(), {});
     ColumnBatch in;
-    in.Configure(side->schema().size());
+    in.Configure(side->schema().size(), st_->direct());
     for (;;) {
       in.Reset();
       const ExecResult st = side->NextBatch(&in);
@@ -1007,8 +941,8 @@ class BatchMergeJoinOp : public BatchOp {
       SortSide(&rcols_, right_key_pos_, nr_);
     }
     // The scalar engine charges the (possibly zero) sort total in one call.
-    Tape t;
-    t.Charge(slot_, charge);
+    Tape t(st_->direct());
+    t.Charge(slot_, FixedFromCost(charge));
     return st_->Replay(t.events()) ? ExecResult::kDone : ExecResult::kAborted;
   }
 
@@ -1018,7 +952,6 @@ class BatchMergeJoinOp : public BatchOp {
   }
 
   ExecResult EmitMerge(ColumnBatch* out) {
-    const auto& p = st_->ctx()->cost_model->params();
     const int bsz = std::max(1, st_->ctx()->batch_size);
     const int lw = static_cast<int>(left_->schema().size());
     const int rw = static_cast<int>(right_->schema().size());
@@ -1066,7 +999,7 @@ class BatchMergeJoinOp : public BatchOp {
             }
           }
           if (!ok) continue;
-          out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+          out->tape.ChargeEmit(slot_, price_.tuple);
           pairs_l_.push_back(gi_);
           pairs_r_.push_back(rj);
           out->MarkRow();
@@ -1083,7 +1016,7 @@ class BatchMergeJoinOp : public BatchOp {
         flush();
         return ExecResult::kDone;
       }
-      out->tape.Charge(slot_, p.cpu_operator_cost);
+      out->tape.Charge(slot_, price_.op);
       const int64_t lk = lkey[li_];
       const int64_t rk = rkey[ri_];
       if (lk < rk) {
@@ -1149,7 +1082,7 @@ class BatchIndexNLJoinOp : public BatchOp {
     const std::string& tname = ctx->query->tables[inner_table_idx];
     inner_ = &ctx->db->table(tname);
     paged_ = ctx->db->paged(tname);
-    inner_rows_ =
+    const int64_t inner_rows =
         paged_ != nullptr ? paged_->num_rows() : inner_->num_rows();
     index_ = &ctx->db->hash_index(tname, inner_key_col_);
     schema_ = left_->schema();
@@ -1161,7 +1094,19 @@ class BatchIndexNLJoinOp : public BatchOp {
       st->SetBuffer(paged_->buffer());
       inner_buf_.resize(inner_->num_columns());
     }
-    lbatch_.Configure(left_->schema().size());
+    lbatch_.Configure(left_->schema().size(), st->direct());
+    // Same expressions as the scalar IndexNLJoinOp, rounded the same way:
+    // paged storage turns the random page part into a kPageRand event.
+    const auto& p = ctx->cost_model->params();
+    descent_ = FixedFromCost(p.random_page_cost +
+                             4.0 * p.cpu_operator_cost *
+                                 std::log2(inner_rows + 2.0));
+    per_match_ = FixedFromCost(
+        p.random_page_cost + p.cpu_index_tuple_cost +
+        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
+    per_match_cpu_ = FixedFromCost(
+        p.cpu_index_tuple_cost +
+        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -1172,18 +1117,6 @@ class BatchIndexNLJoinOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
-    const double descent =
-        p.random_page_cost +
-        4.0 * p.cpu_operator_cost * std::log2(inner_rows_ + 2.0);
-    // Same split as the scalar IndexNLJoinOp (expression grouping mirrored):
-    // paged storage turns the random page part into a kPageRand event.
-    const double per_match =
-        p.random_page_cost + p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost;
-    const double per_match_cpu =
-        p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost;
     const int lw = static_cast<int>(left_->schema().size());
     const int iw = static_cast<int>(inner_cols_.size());
     // One left batch per call (replay-granularity invariant, batch.h).
@@ -1198,13 +1131,13 @@ class BatchIndexNLJoinOp : public BatchOp {
     inner_gather_.clear();
     for (int64_t j = 0; j < lbatch_.n; ++j) {
       out->tape.Append(lbatch_.tape, lbatch_.SegBegin(j), lbatch_.SegEnd(j));
-      out->tape.Charge(slot_, descent);
+      out->tape.Charge(slot_, descent_);
       const auto& matches = index_->Lookup(lbatch_.cols[outer_key_pos_][j]);
       for (const uint32_t r : matches) {
         if (paged_ != nullptr) {
           const storage::PageId pid = paged_->PageIdOfRow(r);
           out->tape.PageRand(slot_, pid.file, pid.page);
-          out->tape.Charge(slot_, per_match_cpu);
+          out->tape.Charge(slot_, per_match_cpu_);
           if (!guard_.valid() || cur_page_ != pid.page) {
             guard_ = paged_->buffer()->Pin(pid);
             cur_page_ = pid.page;
@@ -1214,7 +1147,7 @@ class BatchIndexNLJoinOp : public BatchOp {
             inner_buf_[c] = paged_->ValueIn(guard_, slot_in_page, c);
           }
         } else {
-          out->tape.Charge(slot_, per_match);
+          out->tape.Charge(slot_, per_match_);
         }
         bool pass = true;
         for (const auto& f : inner_filters_) {
@@ -1234,7 +1167,7 @@ class BatchIndexNLJoinOp : public BatchOp {
           }
         }
         if (!pass) continue;
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+        out->tape.ChargeEmit(slot_, price_.tuple);
         match_l_.push_back(static_cast<int32_t>(j));
         match_r_.push_back(r);
         if (paged_ != nullptr) {
@@ -1293,7 +1226,9 @@ class BatchIndexNLJoinOp : public BatchOp {
 
   const DataTable* inner_;
   const storage::PagedTable* paged_;
-  int64_t inner_rows_;
+  FixedCost descent_;
+  FixedCost per_match_;
+  FixedCost per_match_cpu_;
   const HashIndex* index_;
   std::vector<const int64_t*> inner_cols_;
   uint32_t cur_page_ = 0;  // page 0 is meta — never a data page
@@ -1322,7 +1257,7 @@ class BatchMaterialNLJoinOp : public BatchOp {
     schema_ = left_->schema();
     schema_.insert(schema_.end(), right_->schema().begin(),
                    right_->schema().end());
-    lbatch_.Configure(left_->schema().size());
+    lbatch_.Configure(left_->schema().size(), st->direct());
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -1333,7 +1268,6 @@ class BatchMaterialNLJoinOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
     if (!materialized_) {
       if (Materialize() == ExecResult::kAborted) return ExecResult::kAborted;
       materialized_ = true;
@@ -1377,14 +1311,13 @@ class BatchMaterialNLJoinOp : public BatchOp {
       int32_t prev = -1;
       for (int k = 0; k < m; ++k) {
         const int32_t i = sel_[k];
-        out->tape.Charge(slot_, p.cpu_operator_cost,
-                         static_cast<uint32_t>(i - prev));
-        out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+        out->tape.Charge(slot_, price_.op, static_cast<uint32_t>(i - prev));
+        out->tape.ChargeEmit(slot_, price_.tuple);
         out->MarkRow();
         prev = i;
       }
       if (ninner - 1 > prev) {
-        out->tape.Charge(slot_, p.cpu_operator_cost,
+        out->tape.Charge(slot_, price_.op,
                          static_cast<uint32_t>(ninner - 1 - prev));
       }
       // Bulk output: the outer row's values repeat m times, inner columns
@@ -1412,12 +1345,11 @@ class BatchMaterialNLJoinOp : public BatchOp {
 
  private:
   ExecResult Materialize() {
-    const auto& p = st_->ctx()->cost_model->params();
     const size_t rcols = right_->schema().size();
     icols_.assign(rcols, {});
     ColumnBatch in;
-    in.Configure(rcols);
-    Tape phase;
+    in.Configure(rcols, st_->direct());
+    Tape phase(st_->direct());
     for (;;) {
       in.Reset();
       const ExecResult st = right_->NextBatch(&in);
@@ -1425,7 +1357,7 @@ class BatchMaterialNLJoinOp : public BatchOp {
       phase.Clear();
       for (int64_t j = 0; j < in.n; ++j) {
         phase.Append(in.tape, in.SegBegin(j), in.SegEnd(j));
-        phase.Charge(slot_, p.cpu_tuple_cost);
+        phase.Charge(slot_, price_.tuple);
       }
       phase.Append(in.tape, in.TailBegin(), in.tape.size());
       if (!st_->Replay(phase.events())) return ExecResult::kAborted;
@@ -1494,7 +1426,6 @@ class BatchHashAggregateOp : public BatchOp {
       st_->TouchSlot(slot_);
       touched_ = true;
     }
-    const auto& p = st_->ctx()->cost_model->params();
     if (!built_) {
       if (Build() == ExecResult::kAborted) return ExecResult::kAborted;
       built_ = true;
@@ -1503,7 +1434,7 @@ class BatchHashAggregateOp : public BatchOp {
     const int gcols = static_cast<int>(group_positions_.size());
     while (emit_ != emit_rows_.size() && out->n < bsz) {
       const auto& row = emit_rows_[emit_];
-      out->tape.ChargeEmit(slot_, p.cpu_tuple_cost);
+      out->tape.ChargeEmit(slot_, price_.tuple);
       for (int c = 0; c < gcols; ++c) {
         out->cols[c].push_back(row.first[c]);
       }
@@ -1522,9 +1453,10 @@ class BatchHashAggregateOp : public BatchOp {
   ExecResult Build() {
     const auto& p = st_->ctx()->cost_model->params();
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
+    const FixedCost build_charge = FixedFromCost(hash_op + p.cpu_operator_cost);
     ColumnBatch in;
-    in.Configure(child_->schema().size());
-    Tape phase;
+    in.Configure(child_->schema().size(), st_->direct());
+    Tape phase(st_->direct());
     for (;;) {
       in.Reset();
       const ExecResult st = child_->NextBatch(&in);
@@ -1532,7 +1464,7 @@ class BatchHashAggregateOp : public BatchOp {
       phase.Clear();
       for (int64_t j = 0; j < in.n; ++j) {
         phase.Append(in.tape, in.SegBegin(j), in.SegEnd(j));
-        phase.Charge(slot_, hash_op + p.cpu_operator_cost);
+        phase.Charge(slot_, build_charge);
       }
       phase.Append(in.tape, in.TailBegin(), in.tape.size());
       if (!st_->Replay(phase.events())) return ExecResult::kAborted;
@@ -1861,7 +1793,7 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
   }
 
   ColumnBatch batch;
-  batch.Configure(ncols);
+  batch.Configure(ncols, state.direct());
   int64_t emitted = 0;
   ExecResult status = ExecResult::kDone;
   for (;;) {
@@ -1871,8 +1803,11 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
       status = ExecResult::kAborted;
       break;
     }
-    int64_t ok_rows = 0;
-    const bool ok = state.Replay(batch.tape.events(), root_slot, &ok_rows);
+    int64_t root_emits = 0;
+    const bool ok = state.Replay(batch.tape.events(), root_slot, &root_emits);
+    // Unbudgeted, the root's emit charges never reach the tape; every row
+    // of the batch exists.
+    const int64_t ok_rows = state.direct() != nullptr ? batch.n : root_emits;
     if (batch.n > 0) {
       state.batches_produced++;
       state.rows_produced += batch.n;
@@ -1901,11 +1836,13 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
     if (st == ExecResult::kDone) break;
   }
 
+  state.SettleDirect();
   out.status = status;
   out.rows_emitted = emitted;
-  out.cost_charged = ctx->meter.charged();
+  out.cost_charged = CostFromFixed(ctx->meter.charged());
   out.page_reads = ctx->page_reads_charged;
   out.page_hits = ctx->page_hits_charged;
+  out.tape_events = state.tape_events();
   if (exec_span.enabled()) {
     obs::Span bspan = obs::Tracer::BeginUnder(ctx->tracer, "exec.batch",
                                               exec_span.id(),

@@ -9,15 +9,21 @@
 //
 // Cost accounting instead rides a *metering tape*: every operator emits
 // MeterEvents describing the exact per-tuple charge sequence the scalar
-// engine would have produced — same floating-point charge expressions, same
-// order. Each output batch carries its tape plus per-row segment offsets;
-// a consumer splices its child's segment for row j ahead of its own events
-// for row j, reconstructing the scalar engine's global pipeline
-// interleaving. Replaying the tape applies charges one tuple at a time
-// (double addition is order-sensitive, so runs are never bulk-summed),
-// which makes `charged`, the abort point, and the per-node tuple counters
-// byte-identical to a scalar run of the same plan — the property Theorem 3
-// (MSO) needs from budget-limited partial executions.
+// engine would have produced — the same fixed-point charge units
+// (exec_context.h), in the same order. Each output batch carries its tape
+// plus per-row segment offsets; a consumer splices its child's segment for
+// row j ahead of its own events for row j, reconstructing the scalar
+// engine's global pipeline interleaving. Replay is integer arithmetic: a
+// run of n equal charges is one multiply, and the unit a budget trips on
+// is one division. That makes `charged`, the abort point, and the per-node
+// tuple counters identical to a scalar run of the same plan — the property
+// Theorem 3 (MSO) needs from budget-limited partial executions.
+//
+// An unbudgeted execution cannot abort, and integer sums do not depend on
+// their order, so its charge events never reach a tape: Tape::Charge and
+// friends add straight into the execution's ChargeTotals. Only page events
+// (whose hit or miss depends on the buffer pool's replacement state, so
+// they resolve in scalar order) and finish events stay on its tapes.
 //
 // Replay granularity: pipeline breakers (hash build, merge drain+sort,
 // materialize, aggregate build) replay their phase's events eagerly per
@@ -66,11 +72,10 @@ inline bool MergeableKind(EvKind k) {
          k == EvKind::kChargeEmit;
 }
 
-/// One run-length-encoded accounting event. `count` identical charges are
-/// replayed one meter add at a time (never pre-summed), so RLE compresses
-/// the tape without perturbing floating-point accumulation order.
+/// One run-length-encoded accounting event: `count` identical charges of
+/// `unit`.
 struct MeterEvent {
-  double unit = 0.0;
+  FixedCost unit = 0;
   uint32_t count = 1;
   uint16_t node = 0;  ///< node slot (BatchExecState registration order)
   EvKind kind = EvKind::kCharge;
@@ -78,9 +83,26 @@ struct MeterEvent {
   uint32_t page = 0;  ///< kPageSeq/kPageRand: page number
 };
 
+/// What an unbudgeted execution's operators add in place of charge events:
+/// the charge total and each node slot's tuple counts.
+struct ChargeTotals {
+  struct Counts {
+    int64_t scanned = 0;
+    int64_t out = 0;
+  };
+  FixedCost charged = 0;  ///< saturating sum
+  std::vector<Counts> slots;
+};
+
 /// Append-only event sequence with merge-fences at row-segment boundaries.
+/// A tape made over ChargeTotals records only page and finish events and
+/// adds its charges to the totals instead.
 class Tape {
  public:
+  Tape() = default;
+  explicit Tape(ChargeTotals* direct) : direct_(direct) {}
+
+  void set_direct(ChargeTotals* direct) { direct_ = direct; }
   void Clear() {
     ev_.clear();
     fence_ = 0;
@@ -89,26 +111,26 @@ class Tape {
   size_t size() const { return ev_.size(); }
   const std::vector<MeterEvent>& events() const { return ev_; }
 
-  void Charge(uint16_t node, double unit, uint32_t count = 1) {
-    if (count > 0) Push(node, unit, count, EvKind::kCharge);
+  void Charge(uint16_t node, FixedCost unit, uint32_t count = 1) {
+    Add(node, unit, count, EvKind::kCharge);
   }
-  void ChargeScan(uint16_t node, double unit, uint32_t count = 1) {
-    if (count > 0) Push(node, unit, count, EvKind::kChargeScan);
+  void ChargeScan(uint16_t node, FixedCost unit, uint32_t count = 1) {
+    Add(node, unit, count, EvKind::kChargeScan);
   }
-  void ChargeEmit(uint16_t node, double unit) {
-    Push(node, unit, 1, EvKind::kChargeEmit);
+  void ChargeEmit(uint16_t node, FixedCost unit) {
+    Add(node, unit, 1, EvKind::kChargeEmit);
   }
   /// Records a page access whose price (hit vs miss) is resolved at replay
   /// time against the buffer pool's deterministic accounting state, in the
   /// exact position the scalar engine would have charged it.
   void PageSeq(uint16_t node, uint16_t file, uint32_t page) {
-    ev_.push_back({0.0, 1, node, EvKind::kPageSeq, file, page});
+    ev_.push_back({0, 1, node, EvKind::kPageSeq, file, page});
   }
   void PageRand(uint16_t node, uint16_t file, uint32_t page) {
-    ev_.push_back({0.0, 1, node, EvKind::kPageRand, file, page});
+    ev_.push_back({0, 1, node, EvKind::kPageRand, file, page});
   }
   void Finish(uint16_t node) {
-    ev_.push_back({0.0, 1, node, EvKind::kFinish});
+    ev_.push_back({0, 1, node, EvKind::kFinish});
     fence_ = ev_.size();
   }
 
@@ -137,7 +159,16 @@ class Tape {
   }
 
  private:
-  void Push(uint16_t node, double unit, uint32_t count, EvKind k) {
+  void Add(uint16_t node, FixedCost unit, uint32_t count, EvKind k) {
+    if (direct_ == nullptr) {
+      if (count > 0) Push(node, unit, count, k);
+      return;
+    }
+    direct_->charged = SatAdd(direct_->charged, SatMul(unit, count));
+    if (k == EvKind::kChargeScan) direct_->slots[node].scanned += count;
+    if (k == EvKind::kChargeEmit) direct_->slots[node].out += count;
+  }
+  void Push(uint16_t node, FixedCost unit, uint32_t count, EvKind k) {
     if (ev_.size() > fence_) {
       MeterEvent& b = ev_.back();
       if (b.kind == k && b.node == node && b.unit == unit &&
@@ -151,6 +182,7 @@ class Tape {
 
   std::vector<MeterEvent> ev_;
   size_t fence_ = 0;
+  ChargeTotals* direct_ = nullptr;
 };
 
 }  // namespace batch_internal
@@ -165,8 +197,12 @@ struct ColumnBatch {
   batch_internal::Tape tape;
   std::vector<uint32_t> seg_end;
 
-  void Configure(size_t num_cols) {
+  /// `direct`: BatchExecState::direct() of the execution the batch belongs
+  /// to. Without it, every charge rides the tape (always correct).
+  void Configure(size_t num_cols,
+                 batch_internal::ChargeTotals* direct = nullptr) {
     cols.assign(num_cols, {});
+    tape.set_direct(direct);
     Reset();
   }
   void Reset() {
@@ -188,20 +224,30 @@ struct ColumnBatch {
 };
 
 /// Per-execution state shared by a batch operator tree: node-slot registry,
-/// cached counter pointers, the abort latch, and the tape replayer. Create
-/// one per execution, after resetting the context's meter/instrumentation
+/// cached counter pointers, the abort latch, the tape replayer, and an
+/// unbudgeted execution's charge totals. Create one per execution, after
+/// resetting the context's meter/instrumentation and setting the budget
 /// (the entry points below do this; the registry caches NodeCounters
 /// pointers, so it must not outlive an Instrumentation::Reset).
 class BatchExecState {
  public:
-  explicit BatchExecState(ExecContext* ctx) : ctx_(ctx) {}
+  explicit BatchExecState(ExecContext* ctx)
+      : ctx_(ctx), unbounded_(ctx->meter.unbounded()) {}
 
   ExecContext* ctx() { return ctx_; }
   bool aborted() const { return aborted_; }
 
+  /// The totals an unbudgeted execution's tapes add their charges to, or
+  /// null when the budget is finite (every charge must then be replayed in
+  /// order, to find the abort point).
+  batch_internal::ChargeTotals* direct() {
+    return unbounded_ ? &totals_ : nullptr;
+  }
+
   uint16_t Register(const PlanNode* node) {
     nodes_.push_back(node);
     nc_.push_back(nullptr);
+    totals_.slots.emplace_back();
     return static_cast<uint16_t>(nodes_.size() - 1);
   }
 
@@ -226,29 +272,36 @@ class BatchExecState {
   bool Replay(const std::vector<batch_internal::MeterEvent>& events,
               uint16_t root_slot = UINT16_MAX, int64_t* root_emits = nullptr);
 
+  /// Moves what direct() gathered into the meter and the node counters.
+  /// The entry points call it once the execution ends.
+  void SettleDirect();
+
+  /// Tape events Replay has applied, the one that tripped the budget
+  /// included: an exact work counter for the metering tape.
+  int64_t tape_events() const { return tape_events_; }
+
   /// Batch telemetry (data-plane only; never feeds accounting).
   int64_t batches_produced = 0;
   int64_t rows_produced = 0;
 
  private:
-  /// Infinite-budget replay: no add can trip the meter, so counters apply
-  /// in bulk and the unit adds run as one flat dependent chain (identical
-  /// add sequence, no per-event abort bookkeeping).
-  bool ReplayNoAbort(const std::vector<batch_internal::MeterEvent>& events,
-                     uint16_t root_slot, int64_t* root_emits, double charged);
+  /// Moves one slot's direct tuple counts into its node counters.
+  void SettleSlot(uint16_t slot);
 
   ExecContext* ctx_;
+  const bool unbounded_;
   std::vector<const PlanNode*> nodes_;
   std::vector<NodeCounters*> nc_;
-  std::vector<double> units_;  ///< flat-replay scratch
+  batch_internal::ChargeTotals totals_;
   bool aborted_ = false;
+  int64_t tape_events_ = 0;
   /// Paged storage (null for in-memory databases). Page events call
   /// BufferManager::Access here, in replay order — the same deterministic
   /// accounting sequence the scalar engine produces at access time.
   storage::BufferManager* buffer_ = nullptr;
-  double page_hit_cost_ = 0.0;
-  double page_seq_cost_ = 0.0;
-  double page_rand_cost_ = 0.0;
+  FixedCost page_hit_cost_ = 0;
+  FixedCost page_seq_cost_ = 0;
+  FixedCost page_rand_cost_ = 0;
 };
 
 /// A batch-at-a-time operator. NextBatch appends rows/events to a batch the
@@ -275,18 +328,24 @@ class BatchOp {
 
  protected:
   BatchOp(const PlanNode* node, BatchExecState* st)
-      : node_(node), st_(st), slot_(st->Register(node)) {}
+      : node_(node),
+        st_(st),
+        slot_(st->Register(node)),
+        price_(st->ctx()->cost_model->params()) {}
 
   const PlanNode* node_;
   BatchExecState* st_;
   uint16_t slot_;
+  const FixedPrices price_;
   std::vector<SchemaCol> schema_;
   bool touched_ = false;
 };
 
 /// Builds a batch operator tree over `state` (which must outlive the tree).
 /// Binding rules are shared with the scalar builder (executor/binding.h);
-/// failure conditions are identical.
+/// failure conditions are identical. With an unbounded meter the tree adds
+/// its charges to `state->direct()`; call state->SettleDirect() once it is
+/// drained.
 Result<std::unique_ptr<BatchOp>> BuildBatchExecutor(const PlanNode& root,
                                                     BatchExecState* state);
 

@@ -77,7 +77,7 @@ ExecutionOutcome RunTree(const PlanNode& root, ExecContext* ctx,
   } else {
     out.status = DrainOperator(built->get(), results, &out.rows_emitted);
   }
-  out.cost_charged = ctx->meter.charged();
+  out.cost_charged = CostFromFixed(ctx->meter.charged());
   out.page_reads = ctx->page_reads_charged;
   out.page_hits = ctx->page_hits_charged;
   if (exec_span.enabled()) {

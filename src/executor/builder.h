@@ -25,6 +25,10 @@ struct ExecutionOutcome {
   /// seq/random_page_cost; hits priced at buffer_hit_page_cost.
   int64_t page_reads = 0;
   int64_t page_hits = 0;
+  /// Batch engine: metering-tape events replayed (charges, page accesses
+  /// and node finishes; an unbudgeted run records no charge events). Zero
+  /// for the scalar engine.
+  int64_t tape_events = 0;
   /// True when the operator tree could not even be built (e.g. an abstract
   /// predicate without a constant); distinct from a budget abort — retrying
   /// with a larger budget cannot help.

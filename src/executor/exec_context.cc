@@ -1,3 +1,16 @@
 #include "executor/exec_context.h"
 
-// Header-only module; this translation unit anchors it.
+#include <cstdio>
+#include <cstdlib>
+
+namespace bouquet {
+
+void FailFixedCost(double cost) {
+  std::fprintf(stderr,
+               "bouquet: charge or budget %g is not a non-negative cost; "
+               "it has no fixed-point value\n",
+               cost);
+  std::abort();
+}
+
+}  // namespace bouquet

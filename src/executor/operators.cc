@@ -34,7 +34,10 @@ class SeqScanOp : public Operator {
  public:
   SeqScanOp(const PlanNode* node, ExecContext* ctx,
             std::vector<BoundFilter> filters)
-      : node_(node), ctx_(ctx), filters_(std::move(filters)) {
+      : node_(node),
+        ctx_(ctx),
+        price_(ctx->cost_model->params()),
+        filters_(std::move(filters)) {
     const std::string& tname = ctx->query->tables[node->table_idx];
     table_ = &ctx->db->table(tname);
     paged_ = ctx->db->paged(tname);
@@ -45,13 +48,13 @@ class SeqScanOp : public Operator {
       // against the buffer pool), not amortized per row, so the per-row
       // charge is the pure CPU part.
       nrows_ = paged_->num_rows();
-      per_row_charge_ =
-          p.cpu_tuple_cost + filters_.size() * p.cpu_operator_cost;
+      per_row_charge_ = FixedFromCost(p.cpu_tuple_cost +
+                                      filters_.size() * p.cpu_operator_cost);
     } else {
       nrows_ = table_->num_rows();
-      per_row_charge_ =
+      per_row_charge_ = FixedFromCost(
           p.seq_page_cost * info.stats.row_width_bytes / p.page_size_bytes +
-          p.cpu_tuple_cost + filters_.size() * p.cpu_operator_cost;
+          p.cpu_tuple_cost + filters_.size() * p.cpu_operator_cost);
     }
     for (int c = 0; c < table_->num_columns(); ++c) {
       schema_.push_back({node->table_idx, c});
@@ -65,7 +68,6 @@ class SeqScanOp : public Operator {
     // moving any counter.
     if (ctx_->meter.exhausted()) return ExecResult::kAborted;
     NodeCounters& nc = ctx_->instr.ForNode(node_);
-    const auto& p = ctx_->cost_model->params();
     while (next_row_ < nrows_) {
       const int64_t r = next_row_;
       if (paged_ != nullptr) {
@@ -83,8 +85,7 @@ class SeqScanOp : public Operator {
           } else {
             ctx_->page_reads_charged++;
           }
-          if (!ctx_->meter.Charge(hit ? p.buffer_hit_page_cost
-                                      : p.seq_page_cost)) {
+          if (!ctx_->meter.Charge(hit ? price_.page_hit : price_.page_seq)) {
             return ExecResult::kAborted;
           }
           cur_page_ = pg;
@@ -105,7 +106,7 @@ class SeqScanOp : public Operator {
         }
       }
       if (!EvalAll(row_buf_, filters_)) continue;
-      if (!ctx_->meter.Charge(p.cpu_tuple_cost)) return ExecResult::kAborted;
+      if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
       nc.tuples_out++;
       *out = row_buf_;
       return ExecResult::kRow;
@@ -118,10 +119,11 @@ class SeqScanOp : public Operator {
  private:
   const PlanNode* node_;
   ExecContext* ctx_;
+  const FixedPrices price_;
   const DataTable* table_;
   const storage::PagedTable* paged_;
   std::vector<BoundFilter> filters_;
-  double per_row_charge_;
+  FixedCost per_row_charge_;
   int64_t nrows_;
   int64_t next_row_ = 0;
   uint32_t cur_page_ = 0;  // page 0 is meta — never a data page
@@ -138,16 +140,35 @@ class IndexScanOp : public Operator {
   IndexScanOp(const PlanNode* node, ExecContext* ctx,
               std::vector<BoundFilter> filters, int64_t qual_lo,
               int64_t qual_hi, int qual_col)
-      : node_(node), ctx_(ctx), filters_(std::move(filters)) {
+      : node_(node),
+        ctx_(ctx),
+        price_(ctx->cost_model->params()),
+        filters_(std::move(filters)) {
     const std::string& tname = ctx->query->tables[node->table_idx];
     table_ = &ctx->db->table(tname);
     paged_ = ctx->db->paged(tname);
-    nrows_ = paged_ != nullptr ? paged_->num_rows() : table_->num_rows();
+    const int64_t nrows =
+        paged_ != nullptr ? paged_->num_rows() : table_->num_rows();
     matches_ = ctx->db->sorted_index(tname, qual_col).Range(qual_lo, qual_hi);
     for (int c = 0; c < table_->num_columns(); ++c) {
       schema_.push_back({node->table_idx, c});
     }
     row_buf_.resize(table_->num_columns());
+    // Uncorrelated heap order: one random page access per match. On paged
+    // storage the page part is priced by the buffer pool (hit vs miss) as
+    // its own meter add; in memory it stays folded into the flat per-match
+    // charge (the batch engine rounds the same expressions — keep them in
+    // sync).
+    const auto& p = ctx->cost_model->params();
+    descent_ = FixedFromCost(p.random_page_cost +
+                             4.0 * p.cpu_operator_cost *
+                                 std::log2(nrows + 2.0));
+    per_match_cpu_ = FixedFromCost(
+        p.cpu_index_tuple_cost + p.cpu_tuple_cost +
+        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
+    per_match_ = FixedFromCost(
+        p.random_page_cost + p.cpu_index_tuple_cost + p.cpu_tuple_cost +
+        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
   }
 
   ExecResult Next(Row* out) override {
@@ -156,26 +177,10 @@ class IndexScanOp : public Operator {
     // moving any counter.
     if (ctx_->meter.exhausted()) return ExecResult::kAborted;
     NodeCounters& nc = ctx_->instr.ForNode(node_);
-    const auto& p = ctx_->cost_model->params();
     if (!descent_charged_) {
       descent_charged_ = true;
-      const double descent =
-          p.random_page_cost +
-          4.0 * p.cpu_operator_cost * std::log2(nrows_ + 2.0);
-      if (!ctx_->meter.Charge(descent)) return ExecResult::kAborted;
+      if (!ctx_->meter.Charge(descent_)) return ExecResult::kAborted;
     }
-    // Uncorrelated heap order: one random page access per match. On paged
-    // storage the page part is priced by the buffer pool (hit vs miss) as
-    // its own meter add; in memory it stays folded into the flat per-match
-    // charge exactly as before (the FP grouping of each expression is what
-    // the batch engine reproduces on its tape — keep them in sync).
-    const double per_match_cpu =
-        p.cpu_index_tuple_cost + p.cpu_tuple_cost +
-        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost;
-    const double per_match = p.random_page_cost + p.cpu_index_tuple_cost +
-                             p.cpu_tuple_cost +
-                             (filters_.size() > 0 ? filters_.size() - 1 : 0) *
-                                 p.cpu_operator_cost;
     while (next_ < matches_.size()) {
       // Peek — advance only after the charges landed, so the abort point
       // (and everything after it) is independent of batch lookahead.
@@ -188,17 +193,16 @@ class IndexScanOp : public Operator {
         } else {
           ctx_->page_reads_charged++;
         }
-        if (!ctx_->meter.Charge(hit ? p.buffer_hit_page_cost
-                                    : p.random_page_cost)) {
+        if (!ctx_->meter.Charge(hit ? price_.page_hit : price_.page_rand)) {
           return ExecResult::kAborted;
         }
-        if (!ctx_->meter.Charge(per_match_cpu)) return ExecResult::kAborted;
+        if (!ctx_->meter.Charge(per_match_cpu_)) return ExecResult::kAborted;
         if (!guard_.valid() || cur_page_ != pid.page) {
           guard_ = paged_->buffer()->Pin(pid);
           cur_page_ = pid.page;
         }
       } else {
-        if (!ctx_->meter.Charge(per_match)) return ExecResult::kAborted;
+        if (!ctx_->meter.Charge(per_match_)) return ExecResult::kAborted;
       }
       ++next_;
       nc.tuples_scanned++;
@@ -213,7 +217,7 @@ class IndexScanOp : public Operator {
         }
       }
       if (!EvalAll(row_buf_, filters_)) continue;
-      if (!ctx_->meter.Charge(p.cpu_tuple_cost)) return ExecResult::kAborted;
+      if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
       nc.tuples_out++;
       *out = row_buf_;
       return ExecResult::kRow;
@@ -226,10 +230,13 @@ class IndexScanOp : public Operator {
  private:
   const PlanNode* node_;
   ExecContext* ctx_;
+  const FixedPrices price_;
   const DataTable* table_;
   const storage::PagedTable* paged_;
-  int64_t nrows_;
   std::vector<BoundFilter> filters_;
+  FixedCost descent_;
+  FixedCost per_match_cpu_;
+  FixedCost per_match_;
   std::vector<uint32_t> matches_;
   size_t next_ = 0;
   bool descent_charged_ = false;
@@ -250,6 +257,7 @@ class HashJoinOp : public Operator {
              std::vector<BoundEquality> residual)
       : node_(node),
         ctx_(ctx),
+        price_(ctx->cost_model->params()),
         left_(std::move(left)),
         right_(std::move(right)),
         left_key_pos_(left_key_pos),
@@ -270,6 +278,7 @@ class HashJoinOp : public Operator {
     const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
 
     if (!built_) {
+      const FixedCost build_charge = FixedFromCost(hash_op + p.cpu_tuple_cost);
       Row r;
       int64_t build_rows = 0;
       size_t row_slots = 1;
@@ -277,9 +286,7 @@ class HashJoinOp : public Operator {
         const ExecResult st = right_->Next(&r);
         if (st == ExecResult::kAborted) return ExecResult::kAborted;
         if (st == ExecResult::kDone) break;
-        if (!ctx_->meter.Charge(hash_op + p.cpu_tuple_cost)) {
-          return ExecResult::kAborted;
-        }
+        if (!ctx_->meter.Charge(build_charge)) return ExecResult::kAborted;
         ++build_rows;
         row_slots = r.size();
         table_[r[right_key_pos_]].push_back(r);
@@ -289,16 +296,18 @@ class HashJoinOp : public Operator {
       // build side now and amortize the probe side per row below (widths
       // approximated by 8B per slot, as in the merge-join sort charge).
       const double build_width = 8.0 * double(row_slots);
+      double probe_spill_charge = 0.0;  // per probe row when multi-batch
       if (double(build_rows) * build_width > p.work_mem_bytes) {
         const double build_pages =
             double(build_rows) * build_width / p.page_size_bytes;
-        if (!ctx_->meter.Charge(2.0 * p.seq_page_cost *
-                                std::max(1.0, build_pages))) {
+        if (!ctx_->meter.Charge(FixedFromCost(
+                2.0 * p.seq_page_cost * std::max(1.0, build_pages)))) {
           return ExecResult::kAborted;
         }
-        probe_spill_charge_ =
+        probe_spill_charge =
             2.0 * p.seq_page_cost * build_width / p.page_size_bytes;
       }
+      probe_charge_ = FixedFromCost(hash_op + probe_spill_charge);
       built_ = true;
     }
 
@@ -316,7 +325,7 @@ class HashJoinOp : public Operator {
           }
         }
         if (!ok) continue;
-        if (!ctx_->meter.Charge(p.cpu_tuple_cost)) return ExecResult::kAborted;
+        if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
         nc.tuples_out++;
         *out = std::move(combined);
         return ExecResult::kRow;
@@ -328,9 +337,7 @@ class HashJoinOp : public Operator {
         ctx_->instr.FinishNode(node_);  // counters + wall time + span hook
         return ExecResult::kDone;
       }
-      if (!ctx_->meter.Charge(hash_op + probe_spill_charge_)) {
-        return ExecResult::kAborted;
-      }
+      if (!ctx_->meter.Charge(probe_charge_)) return ExecResult::kAborted;
       auto it = table_.find(probe_row_[left_key_pos_]);
       bucket_ = it == table_.end() ? nullptr : &it->second;
       bucket_pos_ = 0;
@@ -340,6 +347,7 @@ class HashJoinOp : public Operator {
  private:
   const PlanNode* node_;
   ExecContext* ctx_;
+  const FixedPrices price_;
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   int left_key_pos_;
@@ -348,7 +356,7 @@ class HashJoinOp : public Operator {
 
   std::unordered_map<int64_t, std::vector<Row>> table_;
   bool built_ = false;
-  double probe_spill_charge_ = 0.0;  // per probe row when multi-batch
+  FixedCost probe_charge_ = 0;  // hash op plus any spill pass, per probe row
   Row probe_row_;
   const std::vector<Row>* bucket_ = nullptr;
   size_t bucket_pos_ = 0;
@@ -366,6 +374,7 @@ class MergeJoinOp : public Operator {
               std::vector<BoundEquality> residual)
       : node_(node),
         ctx_(ctx),
+        price_(ctx->cost_model->params()),
         left_(std::move(left)),
         right_(std::move(right)),
         left_key_pos_(left_key_pos),
@@ -382,7 +391,6 @@ class MergeJoinOp : public Operator {
     // moving any counter.
     if (ctx_->meter.exhausted()) return ExecResult::kAborted;
     NodeCounters& nc = ctx_->instr.ForNode(node_);
-    const auto& p = ctx_->cost_model->params();
 
     if (!sorted_) {
       const ExecResult st = DrainAndSort();
@@ -406,9 +414,7 @@ class MergeJoinOp : public Operator {
             }
           }
           if (!ok) continue;
-          if (!ctx_->meter.Charge(p.cpu_tuple_cost)) {
-            return ExecResult::kAborted;
-          }
+          if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
           nc.tuples_out++;
           *out = std::move(combined);
           return ExecResult::kRow;
@@ -424,9 +430,7 @@ class MergeJoinOp : public Operator {
         ctx_->instr.FinishNode(node_);  // counters + wall time + span hook
         return ExecResult::kDone;
       }
-      if (!ctx_->meter.Charge(p.cpu_operator_cost)) {
-        return ExecResult::kAborted;
-      }
+      if (!ctx_->meter.Charge(price_.op)) return ExecResult::kAborted;
       const int64_t lk = lrows_[li_][left_key_pos_];
       const int64_t rk = rrows_[ri_][right_key_pos_];
       if (lk < rk) {
@@ -458,7 +462,6 @@ class MergeJoinOp : public Operator {
 
  private:
   ExecResult DrainAndSort() {
-    const auto& p = ctx_->cost_model->params();
     Row r;
     for (;;) {
       const ExecResult st = left_->Next(&r);
@@ -493,7 +496,7 @@ class MergeJoinOp : public Operator {
                          return a[right_key_pos_] < b[right_key_pos_];
                        });
     }
-    const bool ok = ctx_->meter.Charge(charge);
+    const bool ok = ctx_->meter.Charge(FixedFromCost(charge));
     assert(std::is_sorted(lrows_.begin(), lrows_.end(),
                           [this](const Row& a, const Row& b) {
                             return a[left_key_pos_] < b[left_key_pos_];
@@ -504,12 +507,12 @@ class MergeJoinOp : public Operator {
                             return a[right_key_pos_] < b[right_key_pos_];
                           }) &&
            "right merge input not sorted (presorted flag wrong)");
-    (void)p;
     return ok ? ExecResult::kDone : ExecResult::kAborted;
   }
 
   const PlanNode* node_;
   ExecContext* ctx_;
+  const FixedPrices price_;
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   int left_key_pos_;
@@ -536,6 +539,7 @@ class IndexNLJoinOp : public Operator {
                 std::vector<BoundEquality> residual)
       : node_(node),
         ctx_(ctx),
+        price_(ctx->cost_model->params()),
         left_(std::move(left)),
         inner_table_idx_(inner_table_idx),
         inner_key_col_(inner_key_col),
@@ -545,7 +549,7 @@ class IndexNLJoinOp : public Operator {
     const std::string& tname = ctx->query->tables[inner_table_idx];
     inner_ = &ctx->db->table(tname);
     paged_ = ctx->db->paged(tname);
-    inner_rows_ =
+    const int64_t inner_rows =
         paged_ != nullptr ? paged_->num_rows() : inner_->num_rows();
     index_ = &ctx->db->hash_index(tname, inner_key_col_);
     schema_ = left_->schema();
@@ -553,6 +557,19 @@ class IndexNLJoinOp : public Operator {
       schema_.push_back({inner_table_idx, c});
     }
     inner_buf_.resize(inner_->num_columns());
+    // Same split as IndexScanOp: on paged storage the random page access is
+    // its own buffer-pool-priced meter add; in memory the flat per-match
+    // sum is one charge (the batch engine rounds the same expressions).
+    const auto& p = ctx->cost_model->params();
+    descent_ = FixedFromCost(p.random_page_cost +
+                             4.0 * p.cpu_operator_cost *
+                                 std::log2(inner_rows + 2.0));
+    per_match_ = FixedFromCost(
+        p.random_page_cost + p.cpu_index_tuple_cost +
+        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
+    per_match_cpu_ = FixedFromCost(
+        p.cpu_index_tuple_cost +
+        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
   }
 
   ExecResult Next(Row* out) override {
@@ -561,19 +578,6 @@ class IndexNLJoinOp : public Operator {
     // moving any counter.
     if (ctx_->meter.exhausted()) return ExecResult::kAborted;
     NodeCounters& nc = ctx_->instr.ForNode(node_);
-    const auto& p = ctx_->cost_model->params();
-    const double descent =
-        p.random_page_cost +
-        4.0 * p.cpu_operator_cost * std::log2(inner_rows_ + 2.0);
-    // Same split as IndexScanOp: on paged storage the random page access is
-    // its own buffer-pool-priced meter add; in memory the flat per-match
-    // sum is unchanged (FP grouping mirrored by the batch engine's tape).
-    const double per_match =
-        p.random_page_cost + p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost;
-    const double per_match_cpu =
-        p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost;
 
     for (;;) {
       while (matches_ != nullptr && match_pos_ < matches_->size()) {
@@ -587,17 +591,16 @@ class IndexNLJoinOp : public Operator {
           } else {
             ctx_->page_reads_charged++;
           }
-          if (!ctx_->meter.Charge(hit ? p.buffer_hit_page_cost
-                                      : p.random_page_cost)) {
+          if (!ctx_->meter.Charge(hit ? price_.page_hit : price_.page_rand)) {
             return ExecResult::kAborted;
           }
-          if (!ctx_->meter.Charge(per_match_cpu)) return ExecResult::kAborted;
+          if (!ctx_->meter.Charge(per_match_cpu_)) return ExecResult::kAborted;
           if (!guard_.valid() || cur_page_ != pid.page) {
             guard_ = paged_->buffer()->Pin(pid);
             cur_page_ = pid.page;
           }
         } else {
-          if (!ctx_->meter.Charge(per_match)) return ExecResult::kAborted;
+          if (!ctx_->meter.Charge(per_match_)) return ExecResult::kAborted;
         }
         ++match_pos_;
         if (paged_ != nullptr) {
@@ -621,7 +624,7 @@ class IndexNLJoinOp : public Operator {
           }
         }
         if (!ok) continue;
-        if (!ctx_->meter.Charge(p.cpu_tuple_cost)) return ExecResult::kAborted;
+        if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
         nc.tuples_out++;
         *out = std::move(combined);
         return ExecResult::kRow;
@@ -633,7 +636,7 @@ class IndexNLJoinOp : public Operator {
         ctx_->instr.FinishNode(node_);  // counters + wall time + span hook
         return ExecResult::kDone;
       }
-      if (!ctx_->meter.Charge(descent)) return ExecResult::kAborted;
+      if (!ctx_->meter.Charge(descent_)) return ExecResult::kAborted;
       matches_ = &index_->Lookup(outer_row_[outer_key_pos_]);
       match_pos_ = 0;
     }
@@ -642,6 +645,7 @@ class IndexNLJoinOp : public Operator {
  private:
   const PlanNode* node_;
   ExecContext* ctx_;
+  const FixedPrices price_;
   std::unique_ptr<Operator> left_;
   int inner_table_idx_;
   int inner_key_col_;
@@ -651,7 +655,9 @@ class IndexNLJoinOp : public Operator {
 
   const DataTable* inner_;
   const storage::PagedTable* paged_;
-  int64_t inner_rows_;
+  FixedCost descent_;
+  FixedCost per_match_;
+  FixedCost per_match_cpu_;
   const HashIndex* index_;
   Row outer_row_;
   Row inner_buf_;
@@ -673,6 +679,7 @@ class MaterialNLJoinOp : public Operator {
                    std::vector<BoundEquality> conditions)
       : node_(node),
         ctx_(ctx),
+        price_(ctx->cost_model->params()),
         left_(std::move(left)),
         right_(std::move(right)),
         conditions_(std::move(conditions)) {
@@ -687,7 +694,6 @@ class MaterialNLJoinOp : public Operator {
     // moving any counter.
     if (ctx_->meter.exhausted()) return ExecResult::kAborted;
     NodeCounters& nc = ctx_->instr.ForNode(node_);
-    const auto& p = ctx_->cost_model->params();
 
     if (!materialized_) {
       Row r;
@@ -695,9 +701,7 @@ class MaterialNLJoinOp : public Operator {
         const ExecResult st = right_->Next(&r);
         if (st == ExecResult::kAborted) return ExecResult::kAborted;
         if (st == ExecResult::kDone) break;
-        if (!ctx_->meter.Charge(p.cpu_tuple_cost)) {
-          return ExecResult::kAborted;
-        }
+        if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
         inner_rows_.push_back(r);
       }
       materialized_ = true;
@@ -716,9 +720,7 @@ class MaterialNLJoinOp : public Operator {
         inner_pos_ = 0;
       }
       while (inner_pos_ < inner_rows_.size()) {
-        if (!ctx_->meter.Charge(p.cpu_operator_cost)) {
-          return ExecResult::kAborted;
-        }
+        if (!ctx_->meter.Charge(price_.op)) return ExecResult::kAborted;
         const Row& rrow = inner_rows_[inner_pos_++];
         Row combined = outer_row_;
         combined.insert(combined.end(), rrow.begin(), rrow.end());
@@ -730,7 +732,7 @@ class MaterialNLJoinOp : public Operator {
           }
         }
         if (!ok) continue;
-        if (!ctx_->meter.Charge(p.cpu_tuple_cost)) return ExecResult::kAborted;
+        if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
         nc.tuples_out++;
         *out = std::move(combined);
         return ExecResult::kRow;
@@ -742,6 +744,7 @@ class MaterialNLJoinOp : public Operator {
  private:
   const PlanNode* node_;
   ExecContext* ctx_;
+  const FixedPrices price_;
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   std::vector<BoundEquality> conditions_;
@@ -765,6 +768,7 @@ class HashAggregateOp : public Operator {
                   AggregateSpec::Func func)
       : node_(node),
         ctx_(ctx),
+        price_(ctx->cost_model->params()),
         child_(std::move(child)),
         group_positions_(std::move(group_positions)),
         agg_position_(agg_position),
@@ -783,18 +787,17 @@ class HashAggregateOp : public Operator {
     // moving any counter.
     if (ctx_->meter.exhausted()) return ExecResult::kAborted;
     NodeCounters& nc = ctx_->instr.ForNode(node_);
-    const auto& p = ctx_->cost_model->params();
-    const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
 
     if (!built_) {
+      const auto& p = ctx_->cost_model->params();
+      const FixedCost build_charge = FixedFromCost(
+          p.hash_op_factor * p.cpu_operator_cost + p.cpu_operator_cost);
       Row r;
       for (;;) {
         const ExecResult st = child_->Next(&r);
         if (st == ExecResult::kAborted) return ExecResult::kAborted;
         if (st == ExecResult::kDone) break;
-        if (!ctx_->meter.Charge(hash_op + p.cpu_operator_cost)) {
-          return ExecResult::kAborted;
-        }
+        if (!ctx_->meter.Charge(build_charge)) return ExecResult::kAborted;
         Row key(group_positions_.size());
         for (size_t i = 0; i < group_positions_.size(); ++i) {
           key[i] = r[group_positions_[i]];
@@ -843,7 +846,7 @@ class HashAggregateOp : public Operator {
       ctx_->instr.FinishNode(node_);  // counters + wall time + span hook
       return ExecResult::kDone;
     }
-    if (!ctx_->meter.Charge(p.cpu_tuple_cost)) return ExecResult::kAborted;
+    if (!ctx_->meter.Charge(price_.tuple)) return ExecResult::kAborted;
     const auto& row = emit_rows_[emit_];
     out->assign(row.first.begin(), row.first.end());
     out->push_back(row.second);
@@ -866,6 +869,7 @@ class HashAggregateOp : public Operator {
 
   const PlanNode* node_;
   ExecContext* ctx_;
+  const FixedPrices price_;
   std::unique_ptr<Operator> child_;
   std::vector<int> group_positions_;
   int agg_position_;

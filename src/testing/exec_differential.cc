@@ -191,7 +191,7 @@ struct RunSnap {
   int status = 0;
   bool build_failed = false;
   int64_t rows_emitted = 0;
-  double charged = 0.0;
+  FixedCost charged = 0;
   int64_t page_reads = 0;
   int64_t page_hits = 0;
   /// Non-empty when the run's charged page counters diverged from the
@@ -224,7 +224,7 @@ RunSnap RunOne(ExecEngine engine, const PlanNode& root, ExecDataset* ds,
   s.status = static_cast<int>(out.status);
   s.build_failed = out.build_failed;
   s.rows_emitted = out.rows_emitted;
-  s.charged = out.cost_charged;
+  s.charged = ctx.meter.charged();
   s.page_reads = out.page_reads;
   s.page_hits = out.page_hits;
   if (bm != nullptr) {
@@ -258,7 +258,7 @@ RunSnap RunOne(ExecEngine engine, const PlanNode& root, ExecDataset* ds,
 }
 
 // First divergence between a scalar-oracle snapshot and a batch snapshot,
-// or "" when they agree everywhere. `charged` is compared bit-exact.
+// or "" when they agree everywhere. `charged` is the meter's integer.
 std::string CompareSnaps(const RunSnap& oracle, const RunSnap& batch) {
   if (!oracle.accounting.empty()) {
     return "scalar accounting: " + oracle.accounting;
@@ -282,7 +282,9 @@ std::string CompareSnaps(const RunSnap& oracle, const RunSnap& batch) {
     return StrPrintf("status %d vs %d", oracle.status, batch.status);
   }
   if (oracle.charged != batch.charged) {
-    return StrPrintf("charged %.17g vs %.17g", oracle.charged, batch.charged);
+    return StrPrintf("charged %lld vs %lld quanta",
+                     static_cast<long long>(oracle.charged),
+                     static_cast<long long>(batch.charged));
   }
   if (oracle.rows_emitted != batch.rows_emitted) {
     return StrPrintf("rows_emitted %lld vs %lld",
@@ -386,24 +388,37 @@ ExecDiffResult CheckExecDifferential(const FuzzInstance& instance,
     // the budget sweep.
     const RunSnap full = RunOne(ExecEngine::kScalar, *plan.root, &ds, &cm,
                                 inf, /*batch_size=*/1024, /*spill=*/false);
-    const double total = full.charged;
+    const double total = CostFromFixed(full.charged);
 
     // Budget sweep: unlimited, below-first-charge (abort on tuple one),
-    // interior fractions, and the nextafter boundaries around the total
-    // charge (abort exactly at the final charge vs completing).
-    std::vector<double> budgets = {inf, total * 1e-9,
-                                   std::nextafter(total, 0.0),
-                                   std::nextafter(total, inf), total};
+    // exactly the total and one quantum below it (complete vs abort on the
+    // last charge), and interior fractions. Each fraction that aborts adds
+    // the oracle's charge at its abort and one quantum below as budgets:
+    // the unit that tripped then fits exactly, or trips again — both sides
+    // of the boundary the batch replay finds by division.
+    std::vector<double> budgets = {inf, total * 1e-9};
+    if (full.charged > 0) {
+      budgets.push_back(total);
+      budgets.push_back(CostFromFixed(full.charged - 1));
+    }
+    const size_t first_fraction = budgets.size();
     for (int i = 1; i <= options.budget_sweeps; ++i) {
       budgets.push_back(total * static_cast<double>(i) /
                         static_cast<double>(options.budget_sweeps + 1));
     }
+    const size_t end_fraction = budgets.size();
 
-    for (const double budget : budgets) {
+    for (size_t k = 0; k < budgets.size(); ++k) {
+      const double budget = budgets[k];
       const RunSnap oracle =
           budget == inf ? full
                         : RunOne(ExecEngine::kScalar, *plan.root, &ds, &cm,
                                  budget, 1024, false);
+      if (k >= first_fraction && k < end_fraction &&
+          oracle.status == static_cast<int>(ExecResult::kAborted)) {
+        budgets.push_back(CostFromFixed(oracle.charged));
+        budgets.push_back(CostFromFixed(oracle.charged - 1));
+      }
       for (const int bsz : options.batch_sizes) {
         const RunSnap batch = RunOne(ExecEngine::kBatch, *plan.root, &ds, &cm,
                                      budget, bsz, false);
@@ -427,9 +442,10 @@ ExecDiffResult CheckExecDifferential(const FuzzInstance& instance,
       if (sub == nullptr) continue;
       const RunSnap sfull = RunOne(ExecEngine::kScalar, *sub, &ds, &cm, inf,
                                    1024, /*spill=*/true);
-      const std::vector<double> sbudgets = {inf, sfull.charged * 0.5,
-                                            std::nextafter(sfull.charged,
-                                                           0.0)};
+      std::vector<double> sbudgets = {inf, CostFromFixed(sfull.charged) * 0.5};
+      if (sfull.charged > 0) {
+        sbudgets.push_back(CostFromFixed(sfull.charged - 1));
+      }
       for (const double budget : sbudgets) {
         const RunSnap oracle =
             budget == inf ? sfull

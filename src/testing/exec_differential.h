@@ -2,7 +2,7 @@
 //
 // The vectorized batch engine (executor/batch.h) claims *bit-compatible*
 // cost accounting with the tuple-at-a-time scalar engine: identical
-// `cost_charged` doubles, identical abort points across any budget, and
+// fixed-point charges, identical abort points across any budget, and
 // identical per-node tuple counters — the properties Theorem 3's MSO
 // guarantee rests on. This module turns that claim into a machine-checked
 // property over generated instances:
@@ -16,9 +16,10 @@
 //   2. CheckExecDifferential() optimizes the instance at several ESS
 //      corners (deduped by plan signature), runs each plan under both
 //      engines, and compares: full runs, budget sweeps including
-//      abort-at-the-first-tuple and std::nextafter boundary budgets
-//      (abort exactly at the last charge), spill-mode subtree executions,
-//      and degenerate batch sizes (1, 3, non-powers of two).
+//      abort-at-the-first-tuple, the total and one quantum below it
+//      (abort exactly at the last charge), the scalar oracle's charge at
+//      each interior abort and one quantum below it, spill-mode subtree
+//      executions, and degenerate batch sizes (1, 3, non-powers of two).
 //
 // Any divergence is reported with the plan signature, budget, and batch
 // size that produced it, so a failure is directly replayable.
@@ -59,7 +60,9 @@ struct ExecDifferentialOptions {
   /// Deduped ESS-corner plans to execute (all-lo, all-hi, mid, defaults).
   int max_plans = 3;
   /// Interior budget fractions swept per plan, in addition to the always-on
-  /// boundary budgets (0-ish, first-charge, nextafter(C) from both sides).
+  /// boundary budgets (0-ish, the total C and one quantum below it). Each
+  /// fraction that aborts adds two more: the oracle's charge at the abort
+  /// and one quantum below it.
   int budget_sweeps = 4;
   /// Batch sizes exercised for every budget; deliberately degenerate.
   std::vector<int> batch_sizes = {1, 3, 7, 1024};

@@ -1,12 +1,13 @@
 // Positive control for the bouquet-* lint gate: exercises every escape
-// hatch and sanctioned pattern — annotated wall-clock helper, NOLINT'd
-// replay writeback, drain-into-sort hash-map emission, bound PageGuard,
-// handled Status, schema-known span name — and must produce ZERO findings.
-// If this fixture starts firing, an escape hatch rotted, and every
-// justified use in src/ would be a false positive.
+// hatch and sanctioned pattern — annotated wall-clock helper, integral
+// charged fields under any arithmetic, drain-into-sort hash-map emission,
+// bound PageGuard, handled Status, schema-known span name — and must
+// produce ZERO findings. If this fixture starts firing, an escape hatch
+// rotted, and every justified use in src/ would be a false positive.
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -14,29 +15,41 @@
 
 #include "common/lint.h"
 #include "common/status.h"
+#include "executor/exec_context.h"
 #include "obs/trace.h"
 #include "storage/buffer_manager.h"
 
 namespace bouquet_lint_fixture {
 
+// Integral charged state may be written any way at all: integer sums are
+// exact whatever their grouping, so a bulk sum, a multiply or a
+// saturating write-back gives the same total as one add per unit.
 class CleanMeter {
  public:
-  // Sanctioned accrual: one scalar add per statement.
-  void Charge(double unit) { charged_ += unit; }
-
-  // Sanctioned literal reset.
-  void Reset() { charged_ = 0.0; }
-
-  // The one sanctioned non-add write: a replay writeback, NOLINT'd with a
-  // reason exactly as CostMeter::RestoreCharged does.
-  void Restore(double snapshot) {
-    charged_ = snapshot;  // NOLINT(bouquet-charge-order): replay writeback
+  void Charge(bouquet::FixedCost unit) {
+    charged_ = bouquet::SatAdd(charged_, unit);
   }
 
-  double charged() const { return charged_; }
+  void ChargeRun(bouquet::FixedCost unit, int64_t count) {
+    charged_ += unit * count;
+    events_++;
+  }
+
+  void ChargeAll(const std::vector<bouquet::FixedCost>& units) {
+    charged_ += std::accumulate(units.begin(), units.end(),
+                                bouquet::FixedCost{0});
+  }
+
+  void Reset() {
+    charged_ = 0;
+    events_ = 0;
+  }
+
+  bouquet::FixedCost charged() const { return charged_; }
 
  private:
-  BOUQUET_CHARGED double charged_ = 0.0;
+  BOUQUET_CHARGED bouquet::FixedCost charged_ = 0;
+  BOUQUET_CHARGED int64_t events_ = 0;
 };
 
 // Telemetry-only wall clock behind the annotation: the duration feeds a

@@ -1,43 +1,40 @@
-// Negative lint fixture: every mutation shape bouquet-charge-order bans on
-// a BOUQUET_CHARGED field, plus the bulk-reduction ban. The single-add and
-// literal-reset forms are included as in-file negatives (must NOT fire).
+// Negative lint fixture: bouquet-charge-order requires every
+// BOUQUET_CHARGED field to have an integral type — the fixed-point charge
+// type or a count — so charged sums are exact whatever the order of the
+// adds. Integral fields are included as in-file negatives (must NOT fire).
 // See fail_determinism.cc for the fixture conventions.
 
-#include <numeric>
-#include <vector>
+#include <cstdint>
 
 #include "common/lint.h"
+#include "executor/exec_context.h"
 
 namespace bouquet_lint_fixture {
 
 class Meter {
  public:
-  // The only sanctioned accrual: one scalar add per statement.
-  void Charge(double unit) { charged_ += unit; }
-
-  void ChargeBoth(double a, double b) {
-    charged_ += a + b;  // expect-lint: bouquet-charge-order
+  void Charge(bouquet::FixedCost unit, uint32_t count) {
+    charged_ += unit * count;
+    ++charges_;
+    cost_ += bouquet::CostFromFixed(unit) * count;
+    units_ += static_cast<float>(count);
+    scaled_ += 1.0L;
   }
 
-  void Overwrite(double snapshot) {
-    charged_ = snapshot * 2.0;  // expect-lint: bouquet-charge-order
+  void Reset() {
+    charged_ = 0;
+    charges_ = 0;
   }
 
-  void Scale(double factor) {
-    charged_ *= factor;  // expect-lint: bouquet-charge-order
-  }
-
-  double BulkReplay(const std::vector<double>& units) {
-    return std::accumulate(units.begin(), units.end(), 0.0);  // expect-lint: bouquet-charge-order
-  }
-
-  // Literal reset is sanctioned (Reset()/zero-init).
-  void Reset() { charged_ = 0.0; }
-
-  double charged() const { return charged_; }
+  bouquet::FixedCost charged() const { return charged_; }
+  double cost() const { return cost_ + units_ + static_cast<double>(scaled_); }
 
  private:
-  BOUQUET_CHARGED double charged_ = 0.0;
+  BOUQUET_CHARGED bouquet::FixedCost charged_ = 0;
+  BOUQUET_CHARGED int64_t charges_ = 0;
+  BOUQUET_CHARGED double cost_ = 0.0;  // expect-lint: bouquet-charge-order
+  BOUQUET_CHARGED float units_ = 0.0f;  // expect-lint: bouquet-charge-order
+  BOUQUET_CHARGED long double scaled_ = 0;  // expect-lint: bouquet-charge-order
 };
 
 }  // namespace bouquet_lint_fixture

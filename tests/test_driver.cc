@@ -387,7 +387,7 @@ TEST(DriverGoldenTest, PagedStepSequencesPinned) {
       FoldDriverRun(driver.RunBasic(), &g);
     }
   }
-  EXPECT_EQ(g.value(), 0x8259cd7a38a25dc7ULL);
+  EXPECT_EQ(g.value(), 0xdc0704d0154793e8ULL);
 }
 
 }  // namespace

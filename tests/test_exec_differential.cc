@@ -11,10 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -444,6 +447,111 @@ TEST_F(PagedDriverFixture, MsoDisciplineHoldsWithChargedIo) {
   EXPECT_LT(subopt, 4.0 * 1.2 * bouquet_->rho() + 1.0);
   // The analytic Theorem 3 bound also caps the empirical ratio.
   EXPECT_LT(subopt, BouquetMsoBound(*bouquet_) * (1.0 + 1e-6));
+}
+
+// ---------------------------------------------------------------------------
+// Metering-tape work counter (ExecutionOutcome::tape_events)
+// ---------------------------------------------------------------------------
+
+// One paged 3-table plan: a filtered scan of orders, index-NL-joined to
+// customer, hash-joined to nation. An unbudgeted batch run adds its charges
+// straight into the execution's totals, so its tapes carry only the page
+// accesses (resolved in scalar order against the pool) and the node
+// finishes. A budgeted run keeps every charge run on the tape.
+TEST(TapeEventsTest, UnbudgetedRunReplaysOnlyPagesAndFinishes) {
+  struct RemoveDir {
+    std::string path;
+    ~RemoveDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } dir{::testing::TempDir() + "/tape_events_paged"};
+  std::filesystem::remove_all(dir.path);
+  Database mem;
+  TpchDataOptions data_opts;
+  data_opts.mini_scale = 0.2;
+  MakeTpchDatabase(&mem, data_opts);
+  Catalog catalog;
+  SyncTpchCatalog(mem, &catalog);
+  storage::StorageManager sm(storage::StorageOptions{
+      dir.path, 16, storage::EvictionPolicyKind::k2Q});
+  for (const char* t : {"orders", "customer", "nation"}) {
+    ASSERT_TRUE(sm.ImportTable(mem.table(t)).ok()) << t;
+  }
+  const DataTable& orders = mem.table("orders");
+  std::vector<int64_t> prices =
+      orders.column(orders.ColumnIndex("o_totalprice"));
+  std::nth_element(prices.begin(), prices.begin() + prices.size() / 2,
+                   prices.end());
+  Database db;
+  db.AttachStorage(&sm);
+
+  QuerySpec q;
+  q.name = "tape_events";
+  q.tables = {"orders", "customer", "nation"};
+  q.joins = {
+      JoinPredicate{"orders", "o_custkey", "customer", "c_custkey", -1.0},
+      JoinPredicate{"customer", "c_nationkey", "nation", "n_nationkey", -1.0}};
+  q.filters = {SelectionPredicate{"orders", "o_totalprice", CompareOp::kLess,
+                                  prices[prices.size() / 2], -1.0}};
+  ASSERT_TRUE(q.Validate(catalog).ok());
+  const auto scan = [](int table, std::vector<int> filters) {
+    auto n = std::make_shared<PlanNode>();
+    n->op = OpType::kSeqScan;
+    n->table_idx = table;
+    n->filter_idxs = std::move(filters);
+    return n;
+  };
+  auto inl = std::make_shared<PlanNode>();
+  inl->op = OpType::kIndexNLJoin;
+  inl->left = scan(0, {0});
+  inl->right = scan(1, {});
+  inl->join_idxs = {0};
+  inl->index_join = 0;
+  PlanNode root;
+  root.op = OpType::kHashJoin;
+  root.left = inl;
+  root.right = scan(2, {});
+  root.join_idxs = {1};
+
+  const CostModel cm(CostParams::Postgres());
+  int finished = 0;
+  const auto run = [&](ExecEngine engine, double budget) {
+    ExecContext ctx;
+    ctx.query = &q;
+    ctx.catalog = &catalog;
+    ctx.db = &db;
+    ctx.cost_model = &cm;
+    sm.buffer()->ResetForTest();
+    const ExecutionOutcome out = ExecutePlanWith(engine, root, &ctx, budget);
+    finished = 0;
+    for (const PlanNode* n : CollectNodes(root)) {
+      const NodeCounters* nc = ctx.instr.Find(n);
+      finished += nc != nullptr && nc->finished ? 1 : 0;
+    }
+    return out;
+  };
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const ExecutionOutcome scalar = run(ExecEngine::kScalar, inf);
+  EXPECT_EQ(scalar.tape_events, 0);
+  const ExecutionOutcome unbudgeted = run(ExecEngine::kBatch, inf);
+  ASSERT_EQ(unbudgeted.status, ExecResult::kDone);
+  EXPECT_EQ(finished, 4);  // the customer scan is the join's index probe
+  EXPECT_GT(unbudgeted.page_hits, 0);
+  EXPECT_EQ(unbudgeted.tape_events,
+            unbudgeted.page_reads + unbudgeted.page_hits + finished);
+  EXPECT_EQ(unbudgeted.cost_charged, scalar.cost_charged);
+
+  // Budgeted runs replay every charge run, in order, up to the abort.
+  const ExecutionOutcome at_total =
+      run(ExecEngine::kBatch, scalar.cost_charged);
+  EXPECT_EQ(at_total.status, ExecResult::kDone);
+  EXPECT_EQ(at_total.tape_events, 12100);
+  const ExecutionOutcome at_half =
+      run(ExecEngine::kBatch, scalar.cost_charged * 0.5);
+  EXPECT_EQ(at_half.status, ExecResult::kAborted);
+  EXPECT_EQ(at_half.tape_events, 6074);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <unordered_map>
 
@@ -240,6 +242,70 @@ TEST_F(ExecutorTest, DrainOperatorCapsMaterialization) {
   EXPECT_EQ(st, ExecResult::kDone);
   EXPECT_LE(rows.size(), 5u);
   EXPECT_EQ(emitted, ReferenceCount(db_, query_));
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-point charges (exec_context.h)
+// ---------------------------------------------------------------------------
+
+TEST(FixedCostTest, ConvertsZeroAndOneQuantum) {
+  EXPECT_EQ(FixedFromCost(0.0), 0);
+  EXPECT_EQ(FixedFromCost(-0.0), 0);
+  EXPECT_EQ(FixedFromCost(0x1p-30), 1);
+  EXPECT_EQ(FixedFromCost(std::nextafter(0x1p-30, 0.0)), 0);  // rounds down
+  EXPECT_EQ(FixedFromCost(1.0), FixedCost{1} << 30);
+  EXPECT_EQ(CostFromFixed(1), 0x1p-30);
+  // Rounding down keeps the converted value at or below the double, so a
+  // run within a converted budget is within the double budget too.
+  for (const double c : {0.01, 0.0025, 4.0 + 1e-7, 1234.5678}) {
+    EXPECT_LE(CostFromFixed(FixedFromCost(c)), c) << c;
+    EXPECT_GT(CostFromFixed(FixedFromCost(c) + 1), c) << c;
+  }
+}
+
+TEST(FixedCostTest, RangeEdgeClampsAndInfinityIsUnbounded) {
+  // 2^33 cost units are 2^63 quanta: the first value past the range.
+  const double edge = 0x1p33;
+  EXPECT_EQ(FixedFromCost(std::nextafter(edge, 0.0)),
+            std::numeric_limits<FixedCost>::max() - 1023);
+  EXPECT_EQ(FixedFromCost(edge), kMaxFiniteCost);
+  EXPECT_EQ(FixedFromCost(1e300), kMaxFiniteCost);
+  EXPECT_EQ(FixedFromCost(std::numeric_limits<double>::infinity()),
+            kUnboundedCost);
+  // Exact below 2^23 units (2^53 quanta).
+  EXPECT_EQ(CostFromFixed(FixedFromCost(0x1p23 - 0x1p-30)),
+            0x1p23 - 0x1p-30);
+}
+
+TEST(FixedCostDeathTest, NanAndNegativeFailLoudly) {
+  EXPECT_DEATH(FixedFromCost(std::numeric_limits<double>::quiet_NaN()),
+               "not a non-negative cost");
+  EXPECT_DEATH(FixedFromCost(-std::numeric_limits<double>::infinity()),
+               "not a non-negative cost");
+  EXPECT_DEATH(FixedFromCost(-0x1p-30), "not a non-negative cost");
+}
+
+TEST(FixedCostTest, AccumulatorSaturates) {
+  EXPECT_EQ(SatAdd(kMaxFiniteCost, 1), kUnboundedCost);
+  EXPECT_EQ(SatAdd(kUnboundedCost, kUnboundedCost), kUnboundedCost);
+  EXPECT_EQ(SatMul(FixedCost{1} << 40, int64_t{1} << 30), kUnboundedCost);
+  EXPECT_EQ(SatMul(7, 6), 42);
+
+  CostMeter finite;
+  finite.Reset();
+  finite.set_budget(1e300);  // clamps to kMaxFiniteCost
+  EXPECT_TRUE(finite.Charge(kMaxFiniteCost));
+  EXPECT_FALSE(finite.Charge(kMaxFiniteCost));  // saturates, then trips
+  EXPECT_EQ(finite.charged(), kUnboundedCost);
+  EXPECT_TRUE(finite.exhausted());
+
+  CostMeter unbounded;
+  unbounded.Reset();
+  EXPECT_TRUE(unbounded.unbounded());
+  EXPECT_TRUE(unbounded.Charge(kMaxFiniteCost));
+  EXPECT_TRUE(unbounded.Charge(kMaxFiniteCost));  // saturated, never trips
+  EXPECT_EQ(unbounded.charged(), kUnboundedCost);
+  EXPECT_FALSE(unbounded.exhausted());
 }
 
 }  // namespace

@@ -10,12 +10,12 @@ The checks encode repo-specific invariants the MSO guarantee depends on
                             modules: src/executor, src/storage, src/ess,
                             src/bouquet. Escape: BOUQUET_NONDETERMINISM_OK
                             on the enclosing function (common/lint.h).
-  bouquet-charge-order      fields tagged BOUQUET_CHARGED mutate only one
-                            scalar add at a time (`f += unit`, `++f`) or by
-                            literal reset (`f = 0.0`); std::accumulate and
-                            friends are banned in accounting modules. Bulk
-                            or reassociated sums change FP association and
-                            can move a budget-abort point across engines.
+  bouquet-charge-order      fields tagged BOUQUET_CHARGED have an integral
+                            type: the fixed-point charge type (FixedCost)
+                            or a count. Integer sums are exact whatever
+                            their order, which is what lets the engines
+                            group and reorder charges and still agree on
+                            the charge and the abort point.
   bouquet-page-guard        outside src/storage/buffer_manager.*, results
                             of BufferManager::Pin/PinNew must be bound to a
                             PageGuard (no discarded or temporary-consumed
@@ -297,81 +297,28 @@ def check_determinism(src, findings):
 # --------------------------------------------------------------------------
 
 CHARGED_DECL_RE = re.compile(
-    r"BOUQUET_CHARGED\s+[\w:<>,\s]*?\b([A-Za-z_]\w*)\s*(?:=[^;]*)?;")
-BULK_REDUCE_RE = re.compile(
-    r"\bstd\s*::\s*(accumulate|reduce|transform_reduce|inner_product)\s*\(")
-NUMERIC_LITERAL_RE = re.compile(r"^[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-                                r"[fFlLuU]*$")
+    r"BOUQUET_CHARGED\s+([\w:<>,\s]*?)\s*\b[A-Za-z_]\w*\s*"
+    r"(?:=[^;]*|\{[^;]*\})?;")
+# Integral spellings a charged field may use, qualifiers stripped.
+INTEGRAL_TYPES = {
+    "FixedCost", "int64_t", "int32_t", "int16_t", "int8_t", "uint64_t",
+    "uint32_t", "uint16_t", "uint8_t", "size_t", "ptrdiff_t", "int", "long",
+    "long long", "long int", "long long int", "short", "unsigned",
+    "unsigned int", "unsigned long", "unsigned long long", "signed",
+}
+TYPE_QUALIFIER_RE = re.compile(
+    r"\b(?:std|bouquet)\s*::\s*|\b(?:const|mutable|static|inline|"
+    r"volatile|constexpr)\b")
 
 
-def collect_charged_fields(sources):
-    names = set()
-    for src in sources:
-        for m in CHARGED_DECL_RE.finditer(src.clean):
-            names.add(m.group(1))
-    return names
-
-
-def top_level_additive(expr):
-    """True if expr has a top-level binary +/- (reassociable compound)."""
-    depth = 0
-    prev = " "
-    for i, c in enumerate(expr):
-        if c in "([":
-            depth += 1
-        elif c in ")]":
-            depth -= 1
-        elif c in "+-" and depth == 0:
-            nxt = expr[i + 1] if i + 1 < len(expr) else " "
-            # unary sign / increment / member-arrow are not binary adds
-            if c == "-" and nxt == ">":
-                continue
-            if nxt == c:  # ++ / --
-                continue
-            if prev.strip() == "" and i == 0:
-                continue  # leading unary sign
-            if prev in "eE" and nxt.isdigit():
-                continue  # exponent literal like 1e-3
-            if prev in "=(,+*-/%<>&|^ " and prev != " ":
-                continue  # unary after operator
-            return True
-        if not c.isspace():
-            prev = c
-    return False
-
-
-def check_charge_order(src, findings, charged):
-    if not ACCOUNTING_DIRS.search(src.rel):
-        return
-    for m in BULK_REDUCE_RE.finditer(src.clean):
-        report(findings, src, m.start(), "bouquet-charge-order",
-               f"std::{m.group(1)} is a reassociable bulk reduction; "
-               "charges must be applied one scalar add at a time")
-    if not charged:
-        return
-    alt = "|".join(re.escape(n) for n in sorted(charged))
-    mut_re = re.compile(
-        r"\b(" + alt + r")\s*(\+=|-=|\*=|/=|%=|\|=|&=|\^=|<<=|>>=|=)([^;=]"
-        r"[^;]*);")
-    for m in mut_re.finditer(src.clean):
-        name, op, rhs = m.group(1), m.group(2), m.group(3).strip()
-        if op == "=":
-            if rhs and NUMERIC_LITERAL_RE.match(rhs):
-                continue  # literal reset (Reset(), zero-init)
+def check_charge_order(src, findings):
+    for m in CHARGED_DECL_RE.finditer(src.clean):
+        spelled = " ".join(TYPE_QUALIFIER_RE.sub(" ", m.group(1)).split())
+        if spelled not in INTEGRAL_TYPES:
             report(findings, src, m.start(), "bouquet-charge-order",
-                   f"assignment to charged field '{name}' from a non-literal "
-                   "expression; charges accrue only through scalar adds "
-                   "(replay writebacks need an explicit NOLINT with reason)")
-        elif op == "+=":
-            if top_level_additive(rhs):
-                report(findings, src, m.start(), "bouquet-charge-order",
-                       f"compound add to charged field '{name}' sums multiple "
-                       "terms in one expression; the reassociation changes "
-                       "FP charge order — apply one term per statement")
-        else:
-            report(findings, src, m.start(), "bouquet-charge-order",
-                   f"operator '{op}' on charged field '{name}'; charges are "
-                   "monotone scalar adds")
+                   f"charged field of type '{m.group(1).strip()}' is not "
+                   "integral; charged state is FixedCost (fixed-point "
+                   "units) or a count, so its sums are exact in any order")
 
 
 # --------------------------------------------------------------------------
@@ -538,13 +485,12 @@ def main(argv):
         return 2
 
     sources = load_sources(root, args.files)
-    charged = collect_charged_fields(sources)
     findings = []
     for src in sources:
         if "bouquet-determinism" in enabled:
             check_determinism(src, findings)
         if "bouquet-charge-order" in enabled:
-            check_charge_order(src, findings, charged)
+            check_charge_order(src, findings)
         if "bouquet-page-guard" in enabled:
             check_page_guard(src, findings)
         if "bouquet-discarded-status" in enabled:

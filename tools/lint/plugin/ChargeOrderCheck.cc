@@ -2,7 +2,6 @@
 
 #include "BouquetLintUtils.h"
 #include "clang/AST/ASTContext.h"
-#include "clang/AST/Expr.h"
 #include "clang/ASTMatchers/ASTMatchFinder.h"
 
 using namespace clang::ast_matchers;
@@ -11,87 +10,21 @@ namespace clang {
 namespace tidy {
 namespace bouquet {
 
-namespace {
-
-/// True if `E` (sans parens/casts) contains a top-level binary +/-,
-/// i.e. the right-hand side sums multiple terms in one expression.
-bool IsAdditiveExpr(const Expr *E) {
-  E = E->IgnoreParenImpCasts();
-  if (const auto *BO = dyn_cast<BinaryOperator>(E)) {
-    return BO->getOpcode() == BO_Add || BO->getOpcode() == BO_Sub;
-  }
-  return false;
-}
-
-bool IsLiteral(const Expr *E) {
-  E = E->IgnoreParenImpCasts();
-  return isa<FloatingLiteral>(E) || isa<IntegerLiteral>(E);
-}
-
-}  // namespace
-
 void ChargeOrderCheck::registerMatchers(MatchFinder *Finder) {
-  auto ChargedField = memberExpr(member(fieldDecl().bind("field")));
-
-  Finder->addMatcher(
-      binaryOperator(isAssignmentOperator(), hasLHS(ChargedField))
-          .bind("assign"),
-      this);
-  // ++f / f++ / --f / f-- are fine (single scalar step); no matcher needed.
-
-  // Bulk reductions are banned module-wide in accounting dirs, independent
-  // of what they reduce into: the reduction order is the library's choice.
-  Finder->addMatcher(
-      callExpr(callee(functionDecl(hasAnyName(
-                   "::std::accumulate", "::std::reduce",
-                   "::std::transform_reduce", "::std::inner_product"))))
-          .bind("bulk"),
-      this);
+  Finder->addMatcher(fieldDecl(hasAttr(attr::Annotate)).bind("field"), this);
 }
 
 void ChargeOrderCheck::check(const MatchFinder::MatchResult &Result) {
-  if (const auto *Call = Result.Nodes.getNodeAs<CallExpr>("bulk")) {
-    StringRef File = Result.SourceManager->getFilename(
-        Result.SourceManager->getSpellingLoc(Call->getBeginLoc()));
-    if (!IsAccountingPath(File)) return;
-    diag(Call->getBeginLoc(),
-         "reassociable bulk reduction in an accounting-critical module; "
-         "charges must be applied one scalar add at a time");
-    return;
-  }
-
-  const auto *Assign = Result.Nodes.getNodeAs<BinaryOperator>("assign");
   const auto *Field = Result.Nodes.getNodeAs<FieldDecl>("field");
-  if (Assign == nullptr || Field == nullptr) return;
-  if (!HasAnnotation(Field, kChargedTag)) return;
-
-  const Expr *RHS = Assign->getRHS();
-  switch (Assign->getOpcode()) {
-    case BO_AddAssign:
-      if (IsAdditiveExpr(RHS)) {
-        diag(Assign->getBeginLoc(),
-             "compound add to charged field %0 sums multiple terms in one "
-             "expression; the reassociation changes FP charge order — apply "
-             "one term per statement")
-            << Field;
-      }
-      return;
-    case BO_Assign:
-      if (!IsLiteral(RHS)) {
-        diag(Assign->getBeginLoc(),
-             "assignment to charged field %0 from a non-literal expression; "
-             "charges accrue only through scalar adds (replay writebacks "
-             "need an explicit NOLINT with reason)")
-            << Field;
-      }
-      return;
-    default:
-      diag(Assign->getBeginLoc(),
-           "operator '%0' on charged field %1; charges are monotone scalar "
-           "adds")
-          << BinaryOperator::getOpcodeStr(Assign->getOpcode()) << Field;
-      return;
-  }
+  if (Field == nullptr || !HasAnnotation(Field, kChargedTag)) return;
+  // Typedefs such as FixedCost and int64_t resolve to their canonical type.
+  const QualType Type = Field->getType().getCanonicalType();
+  if (Type->isIntegerType() && !Type->isBooleanType()) return;
+  diag(Field->getLocation(),
+       "charged field %0 of type %1 is not integral; charged state is "
+       "FixedCost (fixed-point units) or a count, so its sums are exact in "
+       "any order")
+      << Field << Field->getType();
 }
 
 }  // namespace bouquet

@@ -1,15 +1,14 @@
 // bouquet-charge-order: fields tagged BOUQUET_CHARGED (the CostMeter
-// accumulator, context page counters) mutate only one scalar add at a time.
+// accumulator, context page counters) have an integral type — the
+// fixed-point charge type (FixedCost) or a count.
 //
-// The batch engine replays the scalar engine's per-unit charges from the
-// metering tape; floating-point addition is not associative, so a bulk sum
-// (std::accumulate) or a compound right-hand side (`f += a + b`) applied on
-// one side but not the other can differ in the last bit — enough to move a
-// budget-abort point across engines and void the MSO bound.
-//
-// Sanctioned forms: `f += unit`, `++f`/`f++`, and literal resets
-// (`f = 0.0`). The replay writeback (RestoreCharged) carries
-// NOLINT(bouquet-charge-order) with its reason. Fixture:
+// Integer addition is associative, so an integral charge total is the same
+// however the engines group or order its adds: the batch engine replays a
+// run of n equal charges as one multiply, and an unbudgeted execution adds
+// its charges in no particular order at all, and both still agree with the
+// scalar engine on the charge and the abort point. A floating-point charged
+// field would make that grouping visible in the last bit — enough to move
+// a budget-abort point across engines and void the MSO bound. Fixture:
 // tests/static/lint/fixtures/fail_charge_order.cc.
 
 #ifndef BOUQUET_TOOLS_LINT_PLUGIN_CHARGE_ORDER_CHECK_H_
