@@ -1,20 +1,14 @@
 // Section 6.1: compile-time overheads of POSP generation — exhaustive vs
 // the contour-focused recursive-subdivision approach, serial vs parallel
-// sharding, and (PR 3) memoryless vs incremental compilation (invariant-
-// subplan memo + recost-first fast path).
-//
-// Also emits machine-readable BENCH_compile.json with per-template dp_calls
-// / recost_hits / the incremental layers' exact work counters
-// (bound_subsets, recost_nodes) / wall seconds; `--smoke` runs only the
-// fixed 2D/res-100 template (plus its memoryless reference) for the CI perf
-// gate checked by scripts/check_compile_smoke.py, which gates dp_calls and
-// bound_subsets.
+// sharding, and memoryless vs incremental compilation (invariant-subplan
+// memo + recost-first fast path), with per-template dp_calls, recost_hits,
+// the incremental layers' exact work counters (bound_subsets,
+// recost_nodes) and wall seconds. test_posp pins those counters exactly.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,13 +28,6 @@ struct TemplateReport {
   PospStats incremental;
   PospStats memoryless;
 };
-
-double Reduction(const TemplateReport& r) {
-  return r.incremental.dp_calls > 0
-             ? static_cast<double>(r.memoryless.dp_calls) /
-                   static_cast<double>(r.incremental.dp_calls)
-             : 0.0;
-}
 
 double Speedup(const TemplateReport& r) {
   return r.incremental.wall_seconds > 0.0
@@ -66,43 +53,6 @@ TemplateReport RunTemplate(const std::string& label, const QuerySpec& query,
   return r;
 }
 
-void WriteBenchJson(const std::vector<TemplateReport>& reports,
-                    const char* path) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"templates\": [\n");
-  for (size_t i = 0; i < reports.size(); ++i) {
-    const TemplateReport& r = reports[i];
-    std::fprintf(
-        f,
-        "    {\n"
-        "      \"name\": \"%s\",\n"
-        "      \"points\": %llu,\n"
-        "      \"incremental\": {\"dp_calls\": %lld, \"recost_hits\": %lld, "
-        "\"memo_hits\": %lld, \"audit_checks\": %lld, \"audit_failures\": "
-        "%lld, \"bound_subsets\": %lld, \"recost_nodes\": %lld, "
-        "\"wall_seconds\": %.6f},\n"
-        "      \"memoryless\": {\"dp_calls\": %lld, \"wall_seconds\": "
-        "%.6f},\n"
-        "      \"dp_reduction\": %.3f,\n"
-        "      \"speedup\": %.3f\n"
-        "    }%s\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.points),
-        r.incremental.dp_calls, r.incremental.recost_hits,
-        r.incremental.memo_hits, r.incremental.audit_checks,
-        r.incremental.audit_failures, r.incremental.bound_subsets,
-        r.incremental.recost_nodes, r.incremental.wall_seconds,
-        r.memoryless.dp_calls, r.memoryless.wall_seconds, Reduction(r),
-        Speedup(r), i + 1 < reports.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\n  wrote %s\n", path);
-}
-
 void PrintTemplateTable(const std::vector<TemplateReport>& reports) {
   std::printf("\n  %-16s %-9s %-10s %-11s %-10s %-9s %-9s %-8s\n", "template",
               "points", "dp calls", "recost", "memoryless", "inc time",
@@ -124,9 +74,8 @@ void PrintTemplateTable(const std::vector<TemplateReport>& reports) {
   }
 }
 
-// The CI perf gate's fixed templates: stock 2D and 3D TPC-H spaces at
-// resolution 100 (the tentpole's acceptance targets).
-std::vector<TemplateReport> RunFixedTemplates(bool smoke_only) {
+// Fixed templates: stock 2D and 3D TPC-H spaces at resolution 100.
+std::vector<TemplateReport> RunFixedTemplates() {
   const Catalog tpch = MakeTpchCatalog(1.0);
   const Catalog tpcds = MakeTpcdsCatalog(100.0);
   ThreadPool pool(8);
@@ -137,7 +86,7 @@ std::vector<TemplateReport> RunFixedTemplates(bool smoke_only) {
     const EssGrid grid(q2d, {100, 100});
     reports.push_back(RunTemplate("2D_H_Q8a_res100", q2d, tpch, grid, &pool));
   }
-  if (!smoke_only) {
+  {
     const NamedSpace space = GetSpace("3D_H_Q5", tpch, tpcds);
     const EssGrid grid(space.query, {100, 100, 100});
     reports.push_back(
@@ -216,26 +165,11 @@ BENCHMARK(BM_IncrementalPosp2D)
 }  // namespace bouquet
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
-  if (smoke) {
-    // CI perf gate: just the fixed 2D/res-100 template + its memoryless
-    // reference, written to BENCH_compile.json for the baseline check.
-    const auto reports = bouquet::RunFixedTemplates(/*smoke_only=*/true);
-    bouquet::PrintTemplateTable(reports);
-    bouquet::WriteBenchJson(reports, "BENCH_compile.json");
-    return 0;
-  }
-
   bouquet::PrintReproduction();
   bouquet::PrintHeader(
       "Incremental POSP compilation: memoryless vs memo + recost fast path",
-      "the Section 6.1 overheads, PR 3 optimization");
-  const auto reports = bouquet::RunFixedTemplates(/*smoke_only=*/false);
-  bouquet::PrintTemplateTable(reports);
-  bouquet::WriteBenchJson(reports, "BENCH_compile.json");
+      "the Section 6.1 overheads, incremental compilation");
+  bouquet::PrintTemplateTable(bouquet::RunFixedTemplates());
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

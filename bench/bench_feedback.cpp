@@ -1,26 +1,25 @@
 // Cross-query feedback: warm-started contour search, ESS-box shrinking,
 // and the robust-baseline shootout (NAT / SEER / PARQO / PAO / bouquet).
 //
-// Four sections, all emitted to BENCH_feedback.json:
+// Four sections:
 //   warm     — repeat traffic against a feedback-enabled service skips a
 //              prefix of the contour ladder, and a warm real-data run
 //              returns byte-identical rows to the cold run;
 //   shrink   — compiling over the feedback-shrunken ESS box costs fewer
 //              optimizer DP calls than the declared-range compile;
-//   oracle   — >= 1000 seeded warm runs across fuzz instances: dominated
-//              seeds never break the Theorem 3 MSO bound, mispredicted
-//              seeds still complete (the warm_start oracle's property,
-//              counted here at scale);
-//   shootout — MSO / ASO / MaxHarm for the five policies on one space.
+//   oracle   — seeded warm runs across fuzz instances: dominated seeds
+//              never break the Theorem 3 MSO bound, mispredicted seeds
+//              still complete (the warm_start oracle's property, counted
+//              here at scale);
+//   shootout — MSO / ASO / MaxHarm for the five policies on one space
+//              (robustness/shootout.h).
 //
-// `--smoke` runs reduced sizes for the CI perf gate checked by
-// scripts/check_feedback_smoke.py.
-
-#include <benchmark/benchmark.h>
+// Each section's property has a ctest home: test_feedback and test_service
+// for warm and shrink, test_properties' warm_start oracle, and
+// test_native_seer for the shootout.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,7 @@
 #include "bouquet/driver.h"
 #include "feedback/feedback_store.h"
 #include "feedback/warm_start.h"
-#include "robustness/pao.h"
-#include "robustness/parqo.h"
+#include "robustness/shootout.h"
 #include "service/service.h"
 #include "testing/generators.h"
 
@@ -53,13 +51,11 @@ std::vector<Row> CanonicalRows(std::vector<Row> rows) {
 struct WarmReport {
   uint64_t requests = 0;
   uint64_t feedback_records = 0;
-  uint64_t feedback_hits = 0;
   uint64_t warm_runs = 0;
   uint64_t contours_skipped = 0;
   bool rows_identical = false;
   int cold_steps = 0;
   int warm_steps = 0;
-  int driver_contours_skipped = 0;
 };
 
 WarmReport RunWarmSection(int repeats, double mini_scale) {
@@ -90,7 +86,6 @@ WarmReport RunWarmSection(int repeats, double mini_scale) {
     const ServiceStats s = service.stats();
     r.requests = s.requests;
     r.feedback_records = s.feedback_records;
-    r.feedback_hits = s.feedback_hits;
     r.warm_runs = s.feedback_warm_runs;
     r.contours_skipped = s.feedback_contours_skipped;
   }
@@ -122,7 +117,6 @@ WarmReport RunWarmSection(int repeats, double mini_scale) {
         CanonicalRows(cold_res.rows) == CanonicalRows(warm_res.rows);
     r.cold_steps = static_cast<int>(cold_res.steps.size());
     r.warm_steps = static_cast<int>(warm_res.steps.size());
-    r.driver_contours_skipped = warm_res.warm_contours_skipped;
   }
   return r;
 }
@@ -233,53 +227,9 @@ OracleReport RunOracleSection(int64_t min_runs) {
 
 // --------------------------------------------------------------- shootout
 
-struct ShootoutRow {
-  std::string policy;
-  double mso = 0.0;
-  double aso = 0.0;
-  double max_harm = 0.0;
-  int plans = 0;
-};
-
-std::vector<ShootoutRow> RunShootout(int resolution) {
+std::vector<ShootoutRow> RunShootoutSection(int resolution) {
   auto p = BuildSpace("3D_H_Q5", resolution);
-  QueryOptimizer* opt = p->opt.get();
-  const PlanDiagram& diagram = *p->diagram;
-
-  std::vector<ShootoutRow> rows;
-  const RobustnessProfile native = ComputeNativeProfile(diagram, opt);
-  rows.push_back({"native", native.mso, native.aso,
-                  MaxHarm(native.subopt_worst, native.subopt_worst),
-                  native.num_plans});
-
-  const double lambda = p->bouquet->params.lambda;
-  const SeerResult seer = SeerReduce(diagram, opt, lambda);
-  const RobustnessProfile seer_prof =
-      ComputeAssignmentProfile(diagram, opt, seer.plan_at);
-  rows.push_back({"seer", seer_prof.mso, seer_prof.aso,
-                  MaxHarm(seer_prof.subopt_worst, native.subopt_worst),
-                  seer.plans_after});
-
-  const ParqoResult parqo = ParqoSelect(diagram, opt);
-  const RobustnessProfile parqo_prof =
-      ComputeAssignmentProfile(diagram, opt, parqo.plan_at);
-  rows.push_back({"parqo", parqo_prof.mso, parqo_prof.aso,
-                  MaxHarm(parqo_prof.subopt_worst, native.subopt_worst),
-                  parqo.distinct_plans});
-
-  const PaoResult pao = PaoSelect(diagram, opt);
-  const RobustnessProfile pao_prof =
-      ComputeAssignmentProfile(diagram, opt, pao.plan_at);
-  rows.push_back({"pao", pao_prof.mso, pao_prof.aso,
-                  MaxHarm(pao_prof.subopt_worst, native.subopt_worst),
-                  pao.distinct_plans});
-
-  const BouquetSimulator sim(*p->bouquet, diagram, opt);
-  const BouquetProfile bq = ComputeBouquetProfile(sim, /*optimized=*/true);
-  rows.push_back({"bouquet", bq.mso, bq.aso,
-                  MaxHarm(bq.subopt, native.subopt_worst),
-                  p->bouquet->cardinality()});
-  return rows;
+  return RunShootout(*p->diagram, p->opt.get(), *p->bouquet);
 }
 
 // ----------------------------------------------------------------- output
@@ -324,96 +274,17 @@ void PrintReports(const WarmReport& warm, const ShrinkReport& shrink,
   }
 }
 
-void WriteBenchJson(const WarmReport& warm, const ShrinkReport& shrink,
-                    const OracleReport& oracle,
-                    const std::vector<ShootoutRow>& shootout,
-                    const char* path) {
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(
-      f,
-      "{\n"
-      "  \"warm\": {\n"
-      "    \"requests\": %llu,\n"
-      "    \"feedback_records\": %llu,\n"
-      "    \"feedback_hits\": %llu,\n"
-      "    \"warm_runs\": %llu,\n"
-      "    \"contours_skipped\": %llu,\n"
-      "    \"rows_identical\": %s,\n"
-      "    \"cold_steps\": %d,\n"
-      "    \"warm_steps\": %d,\n"
-      "    \"driver_contours_skipped\": %d\n"
-      "  },\n",
-      static_cast<unsigned long long>(warm.requests),
-      static_cast<unsigned long long>(warm.feedback_records),
-      static_cast<unsigned long long>(warm.feedback_hits),
-      static_cast<unsigned long long>(warm.warm_runs),
-      static_cast<unsigned long long>(warm.contours_skipped),
-      warm.rows_identical ? "true" : "false", warm.cold_steps,
-      warm.warm_steps, warm.driver_contours_skipped);
-  std::fprintf(
-      f,
-      "  \"shrink\": {\n"
-      "    \"full_points\": %llu,\n"
-      "    \"shrunken_points\": %llu,\n"
-      "    \"full_dp_calls\": %lld,\n"
-      "    \"shrunken_dp_calls\": %lld,\n"
-      "    \"full_wall_seconds\": %.6f,\n"
-      "    \"shrunken_wall_seconds\": %.6f\n"
-      "  },\n",
-      static_cast<unsigned long long>(shrink.full_points),
-      static_cast<unsigned long long>(shrink.shrunken_points),
-      static_cast<long long>(shrink.full_dp_calls),
-      static_cast<long long>(shrink.shrunken_dp_calls),
-      shrink.full_wall_seconds, shrink.shrunken_wall_seconds);
-  std::fprintf(f,
-               "  \"oracle\": {\n"
-               "    \"instances\": %d,\n"
-               "    \"warm_runs\": %lld,\n"
-               "    \"mispredicted_runs\": %lld,\n"
-               "    \"violations\": %lld\n"
-               "  },\n",
-               oracle.instances, static_cast<long long>(oracle.warm_runs),
-               static_cast<long long>(oracle.mispredicted_runs),
-               static_cast<long long>(oracle.violations));
-  std::fprintf(f, "  \"shootout\": [\n");
-  for (size_t i = 0; i < shootout.size(); ++i) {
-    const ShootoutRow& row = shootout[i];
-    std::fprintf(f,
-                 "    {\"policy\": \"%s\", \"mso\": %.6f, \"aso\": %.6f, "
-                 "\"max_harm\": %.6f, \"plans\": %d}%s\n",
-                 row.policy.c_str(), row.mso, row.aso, row.max_harm,
-                 row.plans, i + 1 < shootout.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\n  wrote %s\n", path);
-}
-
 }  // namespace
 }  // namespace bouquet
 
-int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-  }
+int main() {
   bouquet::PrintHeader(
       "Cross-query feedback: warm starts, box shrinking, baseline shootout",
-      "ROADMAP item 5");
-  const auto warm =
-      bouquet::RunWarmSection(smoke ? 6 : 10, smoke ? 0.1 : 0.2);
-  const auto shrink = bouquet::RunShrinkSection(smoke ? 40 : 64);
-  const auto oracle = bouquet::RunOracleSection(smoke ? 1000 : 4000);
-  const auto shootout = bouquet::RunShootout(smoke ? 10 : 16);
+      "beyond-paper cross-query feedback");
+  const auto warm = bouquet::RunWarmSection(10, 0.2);
+  const auto shrink = bouquet::RunShrinkSection(64);
+  const auto oracle = bouquet::RunOracleSection(4000);
+  const auto shootout = bouquet::RunShootoutSection(16);
   bouquet::PrintReports(warm, shrink, oracle, shootout);
-  bouquet::WriteBenchJson(warm, shrink, oracle, shootout,
-                          "BENCH_feedback.json");
-  if (smoke) return 0;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Self-test gate for the bouquet-* lint checks (tools/lint/).
 
-Drives the lint engine over the fixtures in tests/static/lint/fixtures/ and
-compares actual findings against the `// expect-lint: <check>[, <check>]`
-markers embedded in each fixture, line by line:
+Drives tools/lint/bouquet_lint.py over the fixtures in
+tests/static/lint/fixtures/ and compares actual findings against the
+`// expect-lint: <check>[, <check>]` markers embedded in each fixture, line
+by line:
 
   * fail_*.cc    — negative fixtures: the engine must report EXACTLY the
                    marked (line, check) pairs — nothing more (false
@@ -15,10 +16,6 @@ This mirrors the thread-safety probe gate (tests/static/check_probes.cmake):
 a lint whose negative fixture stops firing is indistinguishable from a lint
 that never ran, so the fixtures are executable documentation AND the rot
 detector. Exit codes: 0 = all fixtures behave, 1 = mismatch, 2 = usage.
-
-The gate is engine-agnostic: anything that emits clang-tidy-style
-`file:line:col: warning: msg [check]` lines works, so the same fixtures
-validate both tools/lint/bouquet_lint.py and the clang-tidy plugin.
 """
 
 import argparse
@@ -43,13 +40,12 @@ def expected_findings(path):
     return sorted(expected)
 
 
-def actual_findings(engine_cmd, root, schema, fixture):
-    """Sorted (line, check) pairs the engine reports for one fixture.
-
-    Each fixture runs in its own engine invocation so cross-file state
-    (e.g. BOUQUET_CHARGED field collection) stays per-fixture.
-    """
-    cmd = list(engine_cmd) + ["--root", root, "--schema", schema, fixture]
+def actual_findings(root, schema, fixture):
+    """Sorted (line, check) pairs the engine reports for one fixture, each
+    in its own engine invocation."""
+    cmd = [sys.executable,
+           os.path.join(root, "tools", "lint", "bouquet_lint.py"),
+           "--root", root, "--schema", schema, fixture]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         print(f"error: engine failed on {fixture} "
@@ -67,16 +63,8 @@ def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", required=True, help="repo root")
     ap.add_argument("--schema", required=True, help="trace_schema.json path")
-    ap.add_argument("--engine", default=None,
-                    help="lint engine command (default: python3 "
-                    "<root>/tools/lint/bouquet_lint.py)")
     ap.add_argument("fixtures", nargs="+", help="fixture .cc files")
     args = ap.parse_args(argv)
-
-    engine_cmd = (args.engine.split() if args.engine else
-                  [sys.executable,
-                   os.path.join(args.root, "tools", "lint",
-                                "bouquet_lint.py")])
 
     failures = 0
     for fixture in sorted(args.fixtures):
@@ -93,7 +81,7 @@ def main(argv):
                   "markers — it cannot prove anything")
             failures += 1
             continue
-        actual = actual_findings(engine_cmd, args.root, args.schema, fixture)
+        actual = actual_findings(args.root, args.schema, fixture)
         if actual == expected:
             what = ("clean" if is_control else
                     f"{len(expected)} expected finding(s)")

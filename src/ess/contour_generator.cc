@@ -121,6 +121,7 @@ std::vector<std::vector<uint64_t>> ExtractSparseContours(
   const int m = static_cast<int>(posp.steps.size());
   // Band assignment: smallest k with cost <= IC_k.
   std::vector<std::vector<uint64_t>> bands(m);
+  // NOLINTNEXTLINE(bouquet-determinism): each contour is sorted below
   for (const auto& [linear, entry] : posp.entries) {
     const double c = entry.second;
     for (int k = 0; k < m; ++k) {

@@ -53,7 +53,7 @@
 // grid built over the observed selectivity support instead of the declared
 // ranges (EssGrid's explicit-box constructor). Fewer points and a tighter
 // cost range mean both fewer DP calls and better recost-skip locality;
-// bench_feedback --smoke measures the effect against the full-box compile.
+// bench_feedback measures the effect against the full-box compile.
 
 #ifndef BOUQUET_ESS_POSP_GENERATOR_H_
 #define BOUQUET_ESS_POSP_GENERATOR_H_

@@ -1,10 +1,10 @@
 // BlockingClient: a minimal synchronous peer for the bouquet wire protocol.
 //
-// Used by the loopback mode of examples/bouquet_server, the serve-smoke
-// bench, and the integration tests. One blocking socket, no threads: Query
-// writes a frame and reads until the matching RESULT/ERROR arrives. The raw
-// SendFrame/RecvFrame pair supports pipelined open-loop load generation
-// (write a burst, then collect responses).
+// Used by the loopback mode of examples/bouquet_server, perfbench's
+// serve_wire workload, and the integration tests. One blocking socket, no
+// threads: Query writes a frame and reads until the matching RESULT/ERROR
+// arrives. The raw SendFrame/RecvFrame pair supports pipelined open-loop
+// load generation (write a burst, then collect responses).
 //
 // Thread-safety: none; one client per thread.
 

@@ -8,7 +8,7 @@
 // decays with distance from the estimate. The selected plan hedges against
 // nearby estimation error but — unlike the bouquet — retains no runtime
 // guarantee: a q_a outside the modeled neighborhood can still be arbitrarily
-// sub-optimal, which is exactly what the shootout (bench_feedback --smoke)
+// sub-optimal, which is exactly what the shootout (robustness/shootout.h)
 // quantifies via MSO/ASO/MaxHarm against native, SEER, PAO, and bouquet.
 //
 // This reimplements the published *contract* on our ESS machinery: the

@@ -51,6 +51,7 @@ BufferManager::BufferManager(size_t pool_pages, EvictionPolicyKind kind)
 
 BufferManager::~BufferManager() {
   MutexLock lock(&mu_);
+  // NOLINTNEXTLINE(bouquet-determinism): each dirty frame writes its own page
   for (auto& [key, f] : frames_) {
     assert(f.pins == 0 && "frame still pinned at BufferManager destruction");
     if (f.dirty) WritebackLocked(key, &f);
@@ -67,6 +68,7 @@ uint16_t BufferManager::RegisterFile(PageFile* file) {
 void BufferManager::DropFile(uint16_t file_id) {
   MutexLock lock(&mu_);
   files_.erase(file_id);
+  // NOLINTNEXTLINE(bouquet-determinism): erases by key; the order is unseen
   for (auto it = frames_.begin(); it != frames_.end();) {
     if (static_cast<uint16_t>(it->first >> 32) == file_id) {
       assert(it->second.pins == 0 && "dropping a file with pinned frames");
@@ -315,6 +317,7 @@ size_t BufferManager::physical_frames() const {
 
 void BufferManager::ResetForTest() {
   MutexLock lock(&mu_);
+  // NOLINTNEXTLINE(bouquet-determinism): erases by key; the order is unseen
   for (auto it = frames_.begin(); it != frames_.end();) {
     if (it->second.pins == 0) {
       // Test resets drop dirty bytes deliberately (spill temp data).

@@ -14,6 +14,7 @@
 #include <unordered_map>
 
 #include "common/lint.h"
+#include "fail_determinism.h"
 
 namespace bouquet_lint_fixture {
 
@@ -58,5 +59,20 @@ class HashOrderReplay {
  private:
   std::unordered_map<std::string, double> charges_;
 };
+
+// The same walks over a member declared in the companion header: a range-for
+// and an explicit iterator.
+double FrameTable::SumCharges() const {
+  double total = 0.0;
+  for (const auto& [key, charge] : frames_) {  // expect-lint: bouquet-determinism
+    total += charge;
+  }
+  return total;
+}
+
+double FrameTable::FirstCharge() const {
+  const auto it = frames_.begin();  // expect-lint: bouquet-determinism
+  return it == frames_.end() ? 0.0 : it->second;
+}
 
 }  // namespace bouquet_lint_fixture

@@ -1,7 +1,8 @@
 // Tests for the paging layer: slotted pages, the deterministic table
 // writer, the buffer manager's eviction policies (LRU, 2Q with ghost
-// queue, kNone baseline), pin refcounting and eviction starvation, and the
-// spill writer's temp-segment lifecycle.
+// queue, kNone baseline), pin refcounting and eviction starvation, the
+// spill writer's temp-segment lifecycle, and the pool's charged-cost effect
+// on bench_storage's workloads.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "storage/page_file.h"
 #include "storage/paged_table.h"
 #include "storage/table.h"
+#include "testing/storage_ladder.h"
 
 namespace bouquet {
 namespace storage {
@@ -464,6 +466,35 @@ TEST(DatasetTest, AttachStorageServesIndexesOverPagedTables) {
   ASSERT_TRUE(cat.HasTable("fact"));
   EXPECT_DOUBLE_EQ(cat.GetTable("fact").stats.row_count,
                    static_cast<double>(spec.rows_per_table));
+}
+
+// bench_storage's workloads, charged by the executor: the policy tests
+// above check what each pool keeps, and this checks what that saves in
+// charged cost. Dataset and ladder are seeded, so the figures are exact.
+TEST(BufferLadderTest, PoolCutsChargedCostOfReexecLadderAndScanMix) {
+  const std::string dir = TempPath("ladder");
+  ASSERT_TRUE(WriteOnDiskDataset(dir, LadderDatasetSpec()).ok());
+  LadderSession none, lru, twoq;
+  ASSERT_TRUE(OpenLadderSession(dir, EvictionPolicyKind::kNone, &none).ok());
+  ASSERT_TRUE(OpenLadderSession(dir, EvictionPolicyKind::kLru, &lru).ok());
+  ASSERT_TRUE(OpenLadderSession(dir, EvictionPolicyKind::k2Q, &twoq).ok());
+  // The workloads must not fit the pool, or no policy has anything to do.
+  EXPECT_GE(none.fact_pages + none.dim_pages, 4 * kLadderPoolPages);
+
+  const LadderTotals re_none = RunReexecLadder(&none, ExecEngine::kScalar);
+  const LadderTotals re_lru = RunReexecLadder(&lru, ExecEngine::kScalar);
+  const LadderTotals re_2q = RunReexecLadder(&twoq, ExecEngine::kScalar);
+  EXPECT_EQ(re_2q.rows, 3464);
+  EXPECT_EQ(re_lru.rows, re_2q.rows);
+  EXPECT_EQ(re_none.rows, re_2q.rows);
+  // Re-execution re-reads become buffer hits (23.5x on this dataset).
+  EXPECT_GE(re_none.charged / re_lru.charged, 3.0);
+  EXPECT_GE(re_none.charged / re_2q.charged, 3.0);
+
+  // 2Q keeps the hot range through the scans that flush LRU (1.22x).
+  const LadderTotals mix_lru = RunScanMix(&lru, ExecEngine::kScalar);
+  const LadderTotals mix_2q = RunScanMix(&twoq, ExecEngine::kScalar);
+  EXPECT_GE(mix_lru.charged / mix_2q.charged, 1.05);
 }
 
 }  // namespace

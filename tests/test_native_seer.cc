@@ -1,15 +1,20 @@
 // Tests for robustness/native and robustness/seer: baseline behaviors and
-// the SEER safety contract (MaxHarm <= lambda).
+// the SEER safety contract (MaxHarm <= lambda), plus the five-policy
+// shootout (robustness/shootout.h) that adds PARQO, PAO and the bouquet.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "bouquet/bouquet.h"
 #include "ess/posp_generator.h"
 #include "robustness/metrics.h"
 #include "robustness/native.h"
 #include "robustness/seer.h"
+#include "robustness/shootout.h"
 #include "workloads/spaces.h"
 #include "workloads/tpcds.h"
 #include "workloads/tpch.h"
@@ -96,6 +101,32 @@ TEST_F(SeerTest, ZeroLambdaIsConservative) {
   // lambda=0 swallows require exact dominance everywhere; typically nothing
   // (or almost nothing) is removed.
   EXPECT_GE(r.plans_after, r.plans_before / 2);
+}
+
+TEST(ShootoutTest, FivePoliciesFiniteAndBouquetMsoBounded) {
+  const Catalog tpch = MakeTpchCatalog(1.0);
+  const Catalog tpcds = MakeTpcdsCatalog(100.0);
+  const NamedSpace space = GetSpace("3D_H_Q5", tpch, tpcds);
+  const EssGrid grid(space.query, {10, 10, 10});
+  const PlanDiagram diagram =
+      GeneratePosp(space.query, tpch, CostParams::Postgres(), grid);
+  QueryOptimizer opt(space.query, tpch, CostParams::Postgres());
+  const PlanBouquet bouquet = BuildBouquet(diagram, &opt);
+
+  const std::vector<ShootoutRow> rows = RunShootout(diagram, &opt, bouquet);
+  std::vector<std::string> policies;
+  for (const ShootoutRow& row : rows) {
+    policies.push_back(row.policy);
+    EXPECT_TRUE(std::isfinite(row.mso)) << row.policy;
+    EXPECT_TRUE(std::isfinite(row.aso)) << row.policy;
+    EXPECT_TRUE(std::isfinite(row.max_harm)) << row.policy;
+    EXPECT_GE(row.plans, 1) << row.policy;
+  }
+  EXPECT_EQ(policies, (std::vector<std::string>{"native", "seer", "parqo",
+                                                "pao", "bouquet"}));
+  // The bouquet's robustness edge: 4.46 here, against 658 for native.
+  ASSERT_EQ(rows.back().policy, "bouquet");
+  EXPECT_LE(rows.back().mso, 12.0);
 }
 
 }  // namespace

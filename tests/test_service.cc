@@ -581,6 +581,7 @@ TEST_F(ServiceTest, FeedbackShrinksEssBoxOnFreshCompile) {
   ServiceRequest req;
   req.query = query_;
   req.actual_selectivities = {0.3};
+  long long declared_dp_calls = 0;
   {
     BouquetService first(catalog_, opts);
     for (int i = 0; i < 3; ++i) {
@@ -589,6 +590,7 @@ TEST_F(ServiceTest, FeedbackShrinksEssBoxOnFreshCompile) {
       EXPECT_FALSE(res->compiled_bundle->shrunken_box);  // no support yet
     }
     EXPECT_EQ(first.stats().feedback_box_shrinks, 0u);
+    declared_dp_calls = first.stats().posp_dp_calls;
   }
 
   // A fresh service sharing the store compiles the template over the
@@ -604,6 +606,8 @@ TEST_F(ServiceTest, FeedbackShrinksEssBoxOnFreshCompile) {
   // The shrunken grid is strictly denser-per-decade but smaller overall.
   EXPECT_LT(res->compiled_bundle->grid->num_points(),
             static_cast<uint64_t>(opts.grid_resolution));
+  // And it compiles with fewer optimizer DP calls than the declared range.
+  EXPECT_LT(s.posp_dp_calls, declared_dp_calls);
 }
 
 TEST_F(ServiceTest, StatsExposeWarmCacheGauges) {

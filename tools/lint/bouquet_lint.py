@@ -35,15 +35,15 @@ The checks encode repo-specific invariants the MSO guarantee depends on
 Statement-level escapes use clang-tidy comment syntax, which this engine
 honors too: `// NOLINT(bouquet-…): reason` and `// NOLINTNEXTLINE(bouquet-…)`.
 
-Output format matches clang-tidy (`file:line:col: warning: msg [check]`) so
-scripts/check_lint_fixtures.py can drive either engine. Exit codes:
-0 = clean, 1 = findings, 2 = usage/configuration error. Stdlib only.
+Output format matches clang-tidy (`file:line:col: warning: msg [check]`);
+scripts/check_lint_fixtures.py holds the engine to the fixtures in
+tests/static/lint/fixtures. Exit codes: 0 = clean, 1 = findings, 2 =
+usage/configuration error. Stdlib only.
 
 This engine is intentionally token-level (with comment/string stripping and
 brace matching, not a real parser): it runs everywhere, including build
-images without Clang. The clang-tidy plugin in this directory implements
-the same checks AST-accurately and is loaded by run_static_analysis.sh
-whenever Clang development headers are available.
+images without Clang. bouquet-determinism reads a .cc's same-stem .h too,
+where the unordered members the .cc walks are declared.
 """
 
 import argparse
@@ -239,12 +239,13 @@ def nondet_escape_spans(src):
     return spans
 
 
-def unordered_names(src):
-    """Identifiers declared (in this file) with an unordered container type.
-    Heuristic: the declarator name is the identifier that ends the
-    declaration statement containing `unordered_…<`."""
+def unordered_names(clean):
+    """Identifiers declared with an unordered container type in `clean`
+    (comment/string-stripped source). Heuristic: the declarator name is the
+    identifier that ends the declaration statement containing
+    `unordered_…<`."""
     names = set()
-    flat = re.sub(r"\s+", " ", src.clean)
+    flat = re.sub(r"\s+", " ", clean)
     for m in UNORDERED_DECL_RE.finditer(flat):
         # Walk to the ';' closing this declaration, skipping nested <>/().
         tail = flat[m.start():flat.find(";", m.start()) + 1]
@@ -255,6 +256,16 @@ def unordered_names(src):
     # `where`-style map via an iterator also counts, but plain heuristics
     # stop at declared names.
     return names
+
+
+def companion_header_clean(src):
+    """Stripped text of the .h with the same stem as a .cc, or "" — a
+    class's unordered members are declared there, iterated here."""
+    stem, ext = os.path.splitext(src.path)
+    if ext != ".cc" or not os.path.isfile(stem + ".h"):
+        return ""
+    with open(stem + ".h", "r", encoding="utf-8", errors="replace") as f:
+        return strip_comments_and_strings(f.read())
 
 
 def check_determinism(src, findings):
@@ -270,12 +281,13 @@ def check_determinism(src, findings):
             if not escaped(m.start()):
                 report(findings, src, m.start(), "bouquet-determinism",
                        message)
-    names = unordered_names(src)
+    names = unordered_names(src.clean) | unordered_names(
+        companion_header_clean(src))
     if not names:
         return
     alt = "|".join(re.escape(n) for n in sorted(names))
-    # Range-for over an unordered member/variable declared in this file, or
-    # explicit iterator walks over one.
+    # Range-for over an unordered member/variable declared in this file or
+    # its companion header, or explicit iterator walks over one.
     iter_res = (
         re.compile(r"for\s*\([^;()]*:\s*(?:[\w.\->]+(?:->|\.))?(" + alt +
                    r")\s*\)"),
