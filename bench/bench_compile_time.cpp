@@ -124,7 +124,7 @@ void PrintReproduction() {
     std::printf("  %-12s %-9llu %-12lld %-10.2fs  %-8.2fs  %-12lld %-10.2fs\n",
                 name.c_str(),
                 static_cast<unsigned long long>(grid.num_points()),
-                serial_stats.optimizer_calls, serial_stats.wall_seconds,
+                serial_stats.dp_calls, serial_stats.wall_seconds,
                 par_stats.wall_seconds, sparse.optimizer_calls, sparse_secs);
   }
   std::printf("\n  Paper's shape: contour-focused generation skips most of "

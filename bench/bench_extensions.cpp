@@ -43,7 +43,7 @@ void PrintMaintenance() {
     const double fresh_secs = std::chrono::duration<double>(t1 - t0).count();
     const double maint_secs = std::chrono::duration<double>(t2 - t1).count();
     std::printf("  %-8.1f %-12lld %-12lld %-10d %-12.3f %.1fx\n", growth,
-                fresh_stats.optimizer_calls, stats.optimizer_calls,
+                fresh_stats.dp_calls, stats.optimizer_calls,
                 stats.new_plans_adopted, stats.worst_validation_ratio,
                 fresh_secs / maint_secs);
   }

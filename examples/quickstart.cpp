@@ -42,7 +42,7 @@ int main() {
   std::printf("POSP: %d plans over %llu grid points (%lld optimizer calls)\n",
               diagram.num_plans(),
               static_cast<unsigned long long>(grid.num_points()),
-              stats.optimizer_calls);
+              stats.dp_calls);
   std::printf("PIC: Cmin=%s Cmax=%s monotone=%s\n",
               FormatSci(diagram.Cmin()).c_str(),
               FormatSci(diagram.Cmax()).c_str(),

@@ -55,14 +55,6 @@ namespace bouquet {
 /// cheapest at q_run count as equally cheap.
 inline constexpr double kCostGroupWidth = 0.2;
 
-/// The contour a climb asked to start at `start_contour` begins at, clamped
-/// into [0, num_contours). A start beyond the ladder begins at the LAST
-/// contour, not past it: the Cmax contour must still execute.
-inline size_t StartContour(int start_contour, size_t num_contours) {
-  if (start_contour <= 0 || num_contours == 0) return 0;
-  return std::min(static_cast<size_t>(start_contour), num_contours - 1);
-}
-
 /// Basic climb: every plan on every contour. The plan that ran last (and
 /// aborted) on the previous contour goes first, so a backend that resumes a
 /// plan's progress resumes it at once; the rest follow in contour order.
@@ -89,7 +81,7 @@ void ClimbBasic(const PlanBouquet& bouquet, const ContourIndex& index,
   step->Fallback();
 }
 
-/// Optimized climb from contour StartContour(start_contour, ...). On each
+/// Optimized climb from contour 0 (the paper's ladder, Theorem 3). On each
 /// step the candidates are the contour's plans, not yet run on it, with a
 /// point in the first quadrant of q_run; the pool is the candidates with a
 /// point on an axis through q_run when there are any, else all of them.
@@ -97,13 +89,11 @@ void ClimbBasic(const PlanBouquet& bouquet, const ContourIndex& index,
 /// error node among unlearned dimensions runs, spilled on that dimension;
 /// a depth tie goes to the plan listed first.
 template <class Step>
-void ClimbOptimized(const ContourIndex& index, int start_contour,
-                    Step* step) {
+void ClimbOptimized(const ContourIndex& index, Step* step) {
   ContourIndex::Scratch scan(index);
   std::vector<double> cost;
   cost.reserve(static_cast<size_t>(index.num_plans()));
-  for (size_t k = StartContour(start_contour, index.num_contours());
-       k < index.num_contours();) {
+  for (size_t k = 0; k < index.num_contours();) {
     index.Candidates(k, step->lo(), &scan);
     if (scan.candidates.empty()) {
       step->Crossed(k);

@@ -517,14 +517,7 @@ DriverResult BouquetDriver::RunOptimized() {
   obs::Span run = obs::Tracer::BeginUnder(tracer_, "driver.run_optimized",
                                           trace_parent_, trace_id_);
   Backend b(this, /*learn=*/true, &run);
-  if (warm_start_ > 0) {
-    // Feedback warm start: skip the cheap contour prefix. Safe for any
-    // clamped value (see SetWarmStart's contract).
-    const size_t k = StartContour(warm_start_, bouquet_->contours.size());
-    b.res.warm_contours_skipped = static_cast<int>(k);
-    run.Num("warm_start_contour", static_cast<double>(k));
-  }
-  ClimbOptimized(*index_, warm_start_, &b);
+  ClimbOptimized(*index_, &b);
   return std::move(b.res);
 }
 

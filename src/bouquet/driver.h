@@ -57,8 +57,9 @@ struct DriverResult {
   double wall_seconds = 0.0;
   int num_executions = 0;
   int contours_crossed = 0;
-  /// Contours skipped up-front by a feedback warm start (SetWarmStart);
-  /// 0 for cold runs.
+  /// Always 0: every optimized climb starts at contour 0. Kept only
+  /// because perfbench/exec_paged.cc still reads it; it goes once the
+  /// benchmark drops the read.
   int warm_contours_skipped = 0;
   /// Page-access totals summed over all steps (zero on in-memory data).
   int64_t page_reads = 0;
@@ -133,17 +134,6 @@ class BouquetDriver {
   /// over `steps` count native runs like every other execution path.
   DriverResult RunSinglePlan(const PlanNode& root);
 
-  /// Feedback warm start: the next RunOptimized() begins its ladder at
-  /// `start_contour` (clamped into [0, contours)) instead of 0. q_run still
-  /// starts at the dimension lows, so discovery and plan pruning behave as
-  /// in a cold run — only the cheap contour prefix is skipped. Completion
-  /// is unconditional (contour-region domination, see contours.h); the
-  /// Theorem-3 MSO bound is preserved when the feedback seed that chose
-  /// the contour is dominated by q_a (feedback/warm_start.h).
-  void SetWarmStart(int start_contour) {
-    warm_start_ = start_contour > 0 ? start_contour : 0;
-  }
-
   /// Attaches observability sinks (either may be null). Spans nest under
   /// `parent` when given (e.g. the service's request span); pass nullptr
   /// for a self-rooted trace. Metric instruments are resolved once here so
@@ -193,7 +183,6 @@ class BouquetDriver {
   std::unique_ptr<const ContourIndex> own_index_;  // null when shared
   const ContourIndex* index_;
   ExecEngine engine_ = ExecEngine::kBatch;
-  int warm_start_ = 0;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   Instruments ins_;

@@ -225,13 +225,7 @@ SimResult BouquetSimulator::RunSafe(uint64_t qa) const {
 }
 
 SimResult BouquetSimulator::RunOptimized(uint64_t qa) const {
-  return RunOptimizedFrom(qa, GridPoint(diagram_->grid().dims(), 0), 0);
-}
-
-SimResult BouquetSimulator::RunOptimizedWarm(uint64_t qa,
-                                             int start_contour) const {
-  return RunOptimizedFrom(qa, GridPoint(diagram_->grid().dims(), 0),
-                          start_contour);
+  return RunOptimizedFrom(qa, GridPoint(diagram_->grid().dims(), 0));
 }
 
 SimResult BouquetSimulator::RunOptimizedSeeded(uint64_t qa,
@@ -245,15 +239,13 @@ SimResult BouquetSimulator::RunOptimizedSeeded(uint64_t qa,
   for (size_t d = 0; d < start.size(); ++d) {
     start[d] = std::min(start[d], qa_pt[d]);
   }
-  return RunOptimizedFrom(qa, std::move(start), 0);
+  return RunOptimizedFrom(qa, std::move(start));
 }
 
-SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa, GridPoint qrun,
-                                             int start_contour) const {
+SimResult BouquetSimulator::RunOptimizedFrom(uint64_t qa,
+                                             GridPoint qrun) const {
   Backend b(*this, qa, std::move(qrun));
-  b.res.start_contour = static_cast<int>(
-      StartContour(start_contour, bouquet_->contours.size()));
-  ClimbOptimized(index_, start_contour, &b);
+  ClimbOptimized(index_, &b);
   return std::move(b.res);
 }
 

@@ -45,9 +45,6 @@ struct SimResult {
   int num_executions = 0;
   int final_plan = -1;
   int final_contour = -1;
-  /// Contour the ladder actually started at (0 = cold; > 0 = warm start
-  /// skipped that many cheap contours).
-  int start_contour = 0;
   std::vector<SimStep> steps;
   /// Optimized runs only: q_run after each step (the running selectivity
   /// location of Section 5.2); empty for basic runs. The first-quadrant
@@ -104,21 +101,12 @@ class BouquetSimulator {
   double safe_budget() const { return safe_budget_; }
 
   /// Section 8 extension: when the optimizer's estimate is known to be an
-  /// *under*-estimate of the true location, it seeds q_run and the starting
-  /// contour, skipping the cheap discovery prefix. The caller must
+  /// *under*-estimate of the true location, it seeds q_run: the ladder
+  /// still starts at contour 0, but a contour with no point in the seed's
+  /// first quadrant is crossed without an execution. The caller must
   /// guarantee seed <= q_a componentwise; a violating seed voids the
   /// first-quadrant invariant (and hence the guarantee).
   SimResult RunOptimizedSeeded(uint64_t qa, const GridPoint& seed) const;
-
-  /// Feedback-driven warm start (src/feedback/): the ladder begins at
-  /// `start_contour` (clamped into [0, contours)) with q_run still at the
-  /// dimension lows, so plan pruning and discovery are untouched — only the
-  /// cheap prefix of the ladder is skipped. Completion is unconditional
-  /// (every location inside a contour's region is dominated by one of its
-  /// frontier points; see contours.h); the Theorem-3 MSO bound additionally
-  /// holds whenever the feedback seed that chose `start_contour` is
-  /// dominated by q_a (see feedback/warm_start.h for the clamp argument).
-  SimResult RunOptimizedWarm(uint64_t qa, int start_contour) const;
 
   /// Sub-optimality of a run: total cost / actual optimal cost at q_a.
   double SubOpt(const SimResult& result, uint64_t qa) const;
@@ -148,8 +136,7 @@ class BouquetSimulator {
 
   int DenseIndex(int plan_id) const;
   double ModelErrorFactor(int plan_id, uint64_t point) const;
-  SimResult RunOptimizedFrom(uint64_t qa, GridPoint qrun,
-                             int start_contour) const;
+  SimResult RunOptimizedFrom(uint64_t qa, GridPoint qrun) const;
 
   const PlanBouquet* bouquet_;
   const PlanDiagram* diagram_;

@@ -280,7 +280,6 @@ PlanDiagram GeneratePosp(const QuerySpec& query, const Catalog& catalog,
 
   if (stats != nullptr) {
     *stats = agg;
-    stats->optimizer_calls = agg.dp_calls;
     stats->wall_seconds =
         std::chrono::duration<double>(WallNow() - t0)
             .count();

@@ -49,7 +49,7 @@
 // reachable from workers.
 //
 // Shrunken ESS boxes: the generator is agnostic to where the grid's axes
-// came from — the feedback layer (src/feedback/warm_start.h) may hand it a
+// came from — the feedback layer (src/feedback/shrunken_box.h) may hand it a
 // grid built over the observed selectivity support instead of the declared
 // ranges (EssGrid's explicit-box constructor). Fewer points and a tighter
 // cost range mean both fewer DP calls and better recost-skip locality;
@@ -97,10 +97,9 @@ struct PospOptions {
 
 /// Statistics of a generation run (compile-time overheads, Section 6.1).
 struct PospStats {
-  /// Full DP invocations (== dp_calls; kept under its historical name for
-  /// dashboards). Audit re-derivations are counted separately.
-  long long optimizer_calls = 0;
-  long long dp_calls = 0;      ///< points served by a full DP
+  /// Points served by a full DP invocation. Audit re-derivations are
+  /// counted separately.
+  long long dp_calls = 0;
   long long recost_hits = 0;   ///< points served by the recost fast path
   long long memo_hits = 0;     ///< DP subproblems reused across points
   long long audit_checks = 0;  ///< skipped points re-derived by a full DP

@@ -2,15 +2,12 @@
 //
 // Production traffic repeats: the same query template arrives many times
 // with different constants, and every bouquet run *discovers* selectivity
-// information (q_run outcomes, final contour reached) that the next request
-// for the same template can exploit. This store records those outcomes per
+// information (q_run outcomes, final contour reached) that the next compile
+// of the same template can exploit. This store records those outcomes per
 // template key — aggregated as per-ESS-dimension observed selectivity
 // support [lo, hi], observation count, and the maximum final contour — and
-// serves them back to the service layer, which uses them to
-//
-//   (a) warm-start the contour ladder (src/feedback/warm_start.h),
-//   (b) shrink the compile-time ESS box to the observed support, and
-//   (c) report learned-vs-robust baselines in bench_feedback.
+// serves them back to the service layer, which uses them to shrink the
+// compile-time ESS box to the observed support (src/feedback/shrunken_box.h).
 //
 // Concurrency: a sharded in-memory map (16 shards keyed by template hash)
 // with one Mutex per shard, annotated per the src/common/synchronization.h

@@ -86,7 +86,6 @@ RequestRouter::Tenant& RequestRouter::TenantLocked(uint32_t tenant_id) {
              .emplace(tenant_id,
                       Tenant{TokenBucket(options_.tenant_rate,
                                          options_.tenant_burst),
-                             options_.default_weight,
                              0.0,
                              {}})
              .first;
@@ -101,14 +100,6 @@ void RequestRouter::UpdateQueueGaugeLocked() {
     ins_.queue_depth->Set(static_cast<double>(queued_));
     ins_.queue_depth_peak->Set(static_cast<double>(stats_.peak_queue_depth));
   }
-}
-
-void RequestRouter::SetTenant(uint32_t tenant_id, double rate_per_s,
-                              double burst, double weight) {
-  MutexLock lock(&mu_);
-  Tenant& t = TenantLocked(tenant_id);
-  t.bucket = TokenBucket(rate_per_s, burst);
-  t.weight = std::max(1e-6, weight);
 }
 
 void RequestRouter::Submit(RoutedRequest request) {
@@ -165,8 +156,8 @@ void RequestRouter::Submit(RoutedRequest request) {
 
 void RequestRouter::FormBatchesLocked() {
   for (;;) {
-    // WFQ: the backlogged tenant with the smallest virtual time whose head
-    // request can still join its template's batch.
+    // Fair queuing: the backlogged tenant with the smallest virtual time
+    // whose head request can still join its template's batch.
     Tenant* best = nullptr;
     for (auto& [id, tenant] : tenants_) {
       if (tenant.queue.empty()) continue;
@@ -184,7 +175,7 @@ void RequestRouter::FormBatchesLocked() {
     RoutedRequest req = std::move(best->queue.front());
     best->queue.pop_front();
     global_vtime_ = best->vtime;
-    best->vtime += 1.0 / best->weight;
+    best->vtime += 1.0;
 
     Batch& batch = batches_[req.query.template_name];
     if (batch.requests.empty()) {

@@ -11,10 +11,10 @@
 //     across the burst.
 //
 //  2. *Admission control.* A token bucket per tenant (rate/burst) rejects
-//     over-quota tenants outright (ERROR kThrottled), and weighted fair
-//     queuing (virtual-time scheduling, weight w => w-proportional share)
-//     decides which tenant's requests enter batches first when the system
-//     is backlogged.
+//     over-quota tenants outright (ERROR kThrottled), and fair queuing
+//     (virtual-time scheduling, every tenant weighing the same) decides
+//     which tenant's requests enter batches first when the system is
+//     backlogged.
 //
 //  3. *MSO-safe load shedding.* When the admitted backlog would exceed
 //     `max_queue_depth`, the request is not queued: the shed handler runs
@@ -88,11 +88,9 @@ struct RouterOptions {
   size_t max_queue_depth = 1024;
   /// Batches allowed in flight on the pool at once (dispatch concurrency).
   int max_inflight_batches = 8;
-  /// Default per-tenant token bucket; rate <= 0 disables throttling.
+  /// Per-tenant token bucket; rate <= 0 disables throttling.
   double tenant_rate = 0.0;
   double tenant_burst = 0.0;
-  /// Default WFQ weight for tenants not configured via SetTenant.
-  double default_weight = 1.0;
 };
 
 /// One admitted request traveling through the router. The span is the
@@ -143,10 +141,6 @@ class RequestRouter {
   /// the shed handler inline before returning.
   void Submit(RoutedRequest request);
 
-  /// Overrides one tenant's token bucket and WFQ weight.
-  void SetTenant(uint32_t tenant_id, double rate_per_s, double burst,
-                 double weight);
-
   /// Called by the batch executor when its batch has fully responded.
   void OnBatchDone();
 
@@ -159,8 +153,7 @@ class RequestRouter {
  private:
   struct Tenant {
     TokenBucket bucket;
-    double weight = 1.0;
-    double vtime = 0.0;  ///< WFQ virtual finish time
+    double vtime = 0.0;  ///< fair-queuing virtual finish time
     std::deque<RoutedRequest> queue;
   };
 
@@ -170,7 +163,7 @@ class RequestRouter {
   };
 
   void DispatcherLoop();
-  /// WFQ step: moves queued requests into per-template batches.
+  /// Fair-queuing step: moves queued requests into per-template batches.
   void FormBatchesLocked() REQUIRES(mu_);
   /// Flushes due/full batches up to the inflight cap. Returns the flushed
   /// batches for the caller to execute outside the lock.

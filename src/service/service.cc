@@ -7,6 +7,7 @@
 #include "bouquet/serialize.h"
 #include "common/str_util.h"
 #include "ess/posp_generator.h"
+#include "feedback/shrunken_box.h"
 #include "service/template_key.h"
 
 namespace bouquet {
@@ -72,19 +73,8 @@ BouquetService::BouquetService(const Catalog& catalog, ServiceOptions options)
     ins_.queue_depth = m->GetGauge("service_queue_depth",
                                    "Tasks waiting in the service pool");
     if (options_.feedback != nullptr) {
-      ins_.feedback_lookups = m->GetCounter(
-          "feedback_lookups_total", "Feedback store lookups before runs");
-      ins_.feedback_hits = m->GetCounter(
-          "feedback_hits_total",
-          "Feedback lookups that produced a usable warm-start seed");
       ins_.feedback_records = m->GetCounter(
           "feedback_records_total", "Run outcomes recorded into feedback");
-      ins_.feedback_warm_runs = m->GetCounter(
-          "feedback_warm_runs_total",
-          "Runs that warm-started the ladder above contour 0");
-      ins_.feedback_contours_skipped = m->GetCounter(
-          "feedback_contours_skipped_total",
-          "Contours skipped up-front by warm starts, summed over runs");
       ins_.feedback_box_shrinks = m->GetCounter(
           "feedback_box_shrinks_total",
           "Template compiles over a feedback-shrunken ESS box");
@@ -153,17 +143,15 @@ std::shared_ptr<const CompiledBouquet> BouquetService::Compile(
   // completion) is unaffected; only the grid the POSP explores shrinks.
   EssBox box;
   bool shrunk = false;
-  if (options_.feedback != nullptr && options_.feedback_policy.shrink_box) {
+  if (options_.feedback != nullptr) {
     TemplateFeedback tf;
     if (options_.feedback->Lookup(TemplateHash(KeyFor(query)), &tf)) {
-      shrunk = ShrunkenBox(query, tf, options_.feedback_policy, &box);
+      shrunk = ShrunkenBox(query, tf, &box);
     }
   }
   if (shrunk) {
     c->grid = std::make_unique<EssGrid>(
-        c->query,
-        ShrunkenResolutions(query, box, ResolutionsFor(query),
-                            options_.feedback_policy.min_resolution),
+        c->query, ShrunkenResolutions(query, box, ResolutionsFor(query)),
         box.lo, box.hi);
     c->shrunken_box = true;
   } else {
@@ -357,57 +345,6 @@ Result<ServiceResult> BouquetService::Run(const ServiceRequest& request) {
   return r;
 }
 
-int BouquetService::FeedbackStartContour(const CompiledBouquet& c,
-                                         uint64_t template_hash,
-                                         const obs::Span* parent) {
-  FeedbackStore* fb = options_.feedback;
-  if (fb == nullptr || !options_.feedback_policy.warm_contours) return 0;
-  obs::Span span =
-      obs::Tracer::Begin(options_.tracer, "feedback.lookup", parent);
-  TemplateFeedback tf;
-  DimVector seed;
-  int start = 0;
-  bool hit = false;
-  if (fb->Lookup(template_hash, &tf) &&
-      tf.support.size() == static_cast<size_t>(c.grid->dims()) &&
-      WarmStartSeed(tf, options_.feedback_policy, &seed)) {
-    hit = true;
-    // Snap the seed DOWN per dimension: the seed cost must understate the
-    // cost at the seed, never overstate it, so that seed <= q_a implies
-    // C(seed) <= PIC(q_a) and the warm start stays inside the bound
-    // (feedback/warm_start.h).
-    GridPoint p(c.grid->dims());
-    for (int d = 0; d < c.grid->dims(); ++d) {
-      p[d] = c.grid->AxisFloor(d, seed[d]);
-    }
-    const double seed_cost = c.diagram->cost_at(c.grid->LinearIndex(p));
-    start = WarmStartContour(*c.bouquet, seed_cost,
-                             options_.feedback_policy.safety_margin);
-  }
-  if (ins_.feedback_lookups != nullptr) {
-    ins_.feedback_lookups->Inc();
-    if (hit) ins_.feedback_hits->Inc();
-    if (start > 0) {
-      ins_.feedback_warm_runs->Inc();
-      ins_.feedback_contours_skipped->Inc(static_cast<uint64_t>(start));
-    }
-  }
-  {
-    MutexLock lock(&stats_mu_);
-    ++stats_.feedback_lookups;
-    if (hit) ++stats_.feedback_hits;
-    if (start > 0) {
-      ++stats_.feedback_warm_runs;
-      stats_.feedback_contours_skipped += static_cast<uint64_t>(start);
-    }
-  }
-  if (span.enabled()) {
-    span.Flag("hit", hit).Num("start_contour", static_cast<double>(start));
-    span.End();
-  }
-  return start;
-}
-
 void BouquetService::RecordFeedback(const ServiceRequest& request,
                                     const CompiledBouquet& c,
                                     const ServiceResult& r,
@@ -426,8 +363,8 @@ void BouquetService::RecordFeedback(const ServiceRequest& request,
         std::min(r.sim.final_contour, num_contours - 1);
   } else {
     if (!r.real.completed || r.real.discovered_selectivities.empty()) return;
-    // Real data: record the discovered q_run lower bounds — conservative
-    // by construction, exactly what the min-support seed wants.
+    // Real data: record the discovered q_run lower bounds, which never
+    // overstate the actual selectivities.
     observed.selectivities = r.real.discovered_selectivities;
     observed.final_contour =
         std::min(r.real.contours_crossed, num_contours - 1);
@@ -453,11 +390,9 @@ void BouquetService::ExecuteWithBundle(
     std::chrono::steady_clock::time_point t0, ServiceResult* out) {
   ServiceResult& r = *out;
   const auto e0 = std::chrono::steady_clock::now();
-  const int warm_start = FeedbackStartContour(*c, r.template_hash, req_span);
   if (request.mode == ExecutionMode::kSimulate) {
     const uint64_t qa = SnapToGrid(*c->grid, request.actual_selectivities);
-    r.sim = warm_start > 0 ? c->simulator->RunOptimizedWarm(qa, warm_start)
-                           : c->simulator->RunOptimized(qa);
+    r.sim = c->simulator->RunOptimized(qa);
     c->simulator->EmitTrace(r.sim, qa, options_.tracer, req_span);
     if (ins_.suboptimality != nullptr) {
       ins_.suboptimality->Observe(c->simulator->SubOpt(r.sim, qa));
@@ -470,7 +405,6 @@ void BouquetService::ExecuteWithBundle(
     BouquetDriver driver(*c->bouquet, *c->diagram, c->simulator->index(),
                          &run_opt, options_.database);
     driver.SetObservability(options_.tracer, options_.metrics, req_span);
-    driver.SetWarmStart(warm_start);
     r.real = driver.RunOptimized();
   }
   RecordFeedback(request, *c, r, req_span);

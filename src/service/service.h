@@ -14,7 +14,13 @@
 //   * the compiling thread parallelizes POSP generation by partitioning
 //     ESS grid rows across the same pool (nest-safe ParallelFor);
 //   * cold starts can be avoided by warm-starting templates from bouquet
-//     files written by bouquet/serialize.
+//     files written by bouquet/serialize (WarmStart(); "warm start" means
+//     only these file loads);
+//   * with a FeedbackStore attached, every finished request records its
+//     observed selectivities, and a template compiled after enough
+//     recorded runs is compiled over the shrunken ESS box of
+//     feedback/shrunken_box.h. Feedback never changes where a climb
+//     starts: every climb starts at contour 0 with q_run at the origin.
 //
 // Execution is cost-model simulation by default (the paper's own metric
 // substrate); when a Database is supplied, requests with bound constants
@@ -48,7 +54,6 @@
 #include "common/synchronization.h"
 #include "common/thread_pool.h"
 #include "feedback/feedback_store.h"
-#include "feedback/warm_start.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "service/bouquet_cache.h"
@@ -78,12 +83,10 @@ struct ServiceOptions {
   /// Optional cross-query selectivity feedback store (borrowed; must
   /// outlive the service; null = feedback off). When set, every finished
   /// request records its observed selectivities + final contour
-  /// ("feedback.record" span), and every execution consults the store
-  /// first ("feedback.lookup"): repeat templates warm-start the contour
-  /// ladder at the learned neighborhood and compile over a shrunken ESS
-  /// box, per `feedback_policy`. The store may be shared across services.
+  /// ("feedback.record" span), and a compile consults the store: a
+  /// template with enough recorded runs compiles over a shrunken ESS box
+  /// (feedback/shrunken_box.h). The store may be shared across services.
   FeedbackStore* feedback = nullptr;
-  WarmStartPolicy feedback_policy;
 };
 
 enum class ExecutionMode {
@@ -130,8 +133,7 @@ struct ServiceStats {
   /// `compilations`/`cache_misses` by construction: a warm-started bundle
   /// is Put directly into the cache and never runs Compile, so
   /// compilations == cache_misses always holds and warm_starts never
-  /// inflates either (regression-tested in test_service). Feedback-driven
-  /// contour warm starts are the separate `feedback_warm_runs` below.
+  /// inflates either (regression-tested in test_service).
   uint64_t warm_starts = 0;
   /// POSP compilation counters, summed over this service's compilations
   /// (see PospStats): full DP invocations, points served by the recost
@@ -168,14 +170,16 @@ struct ServiceStats {
   uint64_t peak_inflight_requests = 0;
   uint64_t queue_depth = 0;
   /// Feedback-store integration counters (all zero without
-  /// ServiceOptions::feedback). A "hit" is a lookup that produced a usable
-  /// warm-start seed; a "warm run" actually started above contour 0.
+  /// ServiceOptions::feedback): run outcomes recorded, and compiles over a
+  /// shrunken ESS box.
+  uint64_t feedback_records = 0;
+  uint64_t feedback_box_shrinks = 0;
+  /// Always 0: no request looks the store up, and every climb starts at
+  /// contour 0. Kept only because perfbench/exec_paged.cc still reads
+  /// them; they go once the benchmark drops the reads.
   uint64_t feedback_lookups = 0;
   uint64_t feedback_hits = 0;
-  uint64_t feedback_records = 0;
-  uint64_t feedback_warm_runs = 0;
   uint64_t feedback_contours_skipped = 0;
-  uint64_t feedback_box_shrinks = 0;  ///< compiles over a shrunken ESS box
   /// Warm-started cache entries (CompiledBouquet::warm_started), sampled
   /// from the BouquetCache at stats() time: live now, and evicted by LRU
   /// pressure over the cache's lifetime.
@@ -251,10 +255,6 @@ class BouquetService {
   uint64_t SnapToGrid(const EssGrid& grid, const DimVector& actual) const;
 
   Status ValidateRequest(const ServiceRequest& request) const;
-  /// Consults the feedback store for a warm-start contour ("feedback.lookup"
-  /// span); returns 0 (cold) without a store, a usable seed, or coverage.
-  int FeedbackStartContour(const CompiledBouquet& c, uint64_t template_hash,
-                           const obs::Span* parent);
   /// Records a finished request's outcome into the feedback store
   /// ("feedback.record" span); no-op without a store or on failed runs.
   void RecordFeedback(const ServiceRequest& request,
@@ -303,11 +303,7 @@ class BouquetService {
     obs::Gauge* inflight = nullptr;
     obs::Gauge* queue_depth = nullptr;
     // Feedback-store integration.
-    obs::Counter* feedback_lookups = nullptr;
-    obs::Counter* feedback_hits = nullptr;
     obs::Counter* feedback_records = nullptr;
-    obs::Counter* feedback_warm_runs = nullptr;
-    obs::Counter* feedback_contours_skipped = nullptr;
     obs::Counter* feedback_box_shrinks = nullptr;
     obs::Gauge* cache_warm_entries = nullptr;
     obs::Gauge* cache_warm_evictions = nullptr;

@@ -68,18 +68,19 @@ uint16_t BufferManager::RegisterFile(PageFile* file) {
 void BufferManager::DropFile(uint16_t file_id) {
   MutexLock lock(&mu_);
   files_.erase(file_id);
+  // A dropped file's frames go without an eviction or a writeback: their
+  // pages have nowhere to go.
   // NOLINTNEXTLINE(bouquet-determinism): erases by key; the order is unseen
   for (auto it = frames_.begin(); it != frames_.end();) {
     if (static_cast<uint16_t>(it->first >> 32) == file_id) {
       assert(it->second.pins == 0 && "dropping a file with pinned frames");
-      if (it->second.resident) EvictLocked(it->first);
       it = frames_.erase(it);
     } else {
       ++it;
     }
   }
-  // Scrub any remaining residency/ghost entries of the file (resident pages
-  // without frames are possible — accounting is decoupled from frames).
+  // Scrub the file's residency and ghost entries (resident pages without
+  // frames are possible — accounting is decoupled from frames).
   auto scrub = [&](std::list<uint64_t>* q) {
     for (auto it = q->begin(); it != q->end();) {
       if (static_cast<uint16_t>(*it >> 32) == file_id) {

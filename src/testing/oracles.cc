@@ -18,7 +18,6 @@
 #include "common/thread_pool.h"
 #include "ess/pic.h"
 #include "ess/posp_generator.h"
-#include "feedback/warm_start.h"
 #include "optimizer/cardinality.h"
 #include "optimizer/dp_bound.h"
 #include "optimizer/recost.h"
@@ -57,7 +56,7 @@ bool ParseFuzzMutation(const std::string& name, FuzzMutation* out) {
 bool InvariantReport::ok() const {
   return pic_monotone.ok && contour_ratio.ok && mso_bound.ok &&
          anorexic_lambda.ok && roundtrip.ok && metamorphic.ok &&
-         exec_differential.ok && warm_start.ok;
+         exec_differential.ok;
 }
 
 std::string InvariantReport::FirstFailure() const {
@@ -70,7 +69,6 @@ std::string InvariantReport::FirstFailure() const {
   if (!exec_differential.ok) {
     return "exec_differential: " + exec_differential.detail;
   }
-  if (!warm_start.ok) return "warm_start: " + warm_start.detail;
   return "";
 }
 
@@ -595,80 +593,6 @@ OracleResult CheckMetamorphic(const FuzzInstance& inst, const EssGrid& grid,
   return r;
 }
 
-// Feedback warm starts are a pure contour skip (feedback/warm_start.h), so
-// two properties must hold against the same restart-accounting simulator the
-// mso_bound oracle uses:
-//   1. completion, unconditionally: every location inside a skipped
-//      contour's region is dominated by a frontier point, so PCM plus the
-//      anorexic budget keeps some bouquet plan within budget for q_a no
-//      matter how wrong the seed was;
-//   2. the Theorem 3 bound, whenever the seed is dominated by q_a: the
-//      clamp C(seed) <= PIC(q_a) puts the start at or below q_a's band, so
-//      the warm run is exactly a cold run's tail and inherits its bound.
-// A mispredicted seed (the ESS max corner) deliberately exercises (1)
-// without (2).
-OracleResult CheckWarmStart(const EssGrid& grid, const PlanDiagram& diagram,
-                            const PlanBouquet& bouquet, QueryOptimizer* opt,
-                            const OracleOptions& options) {
-  OracleResult r;
-  if (options.warm_start_samples <= 0 || bouquet.contours.empty()) return r;
-  SimOptions restart;
-  restart.continue_same_plan = false;
-  const BouquetSimulator sim(bouquet, diagram, opt, restart);
-  const double bound = BouquetMsoBound(bouquet);
-  const uint64_t n = grid.num_points();
-  const uint64_t stride = std::max<uint64_t>(
-      1, n / static_cast<uint64_t>(options.warm_start_samples));
-  for (uint64_t qa = 0; qa < n; qa += stride) {
-    // Dominated seeds: the componentwise-halved location and q_a itself.
-    GridPoint half = grid.PointAt(qa);
-    for (int& c : half) c /= 2;
-    const uint64_t dominated[2] = {grid.LinearIndex(half), qa};
-    for (const uint64_t seed : dominated) {
-      for (const int margin : {0, 1}) {
-        const int start =
-            WarmStartContour(bouquet, diagram.cost_at(seed), margin);
-        const SimResult run = sim.RunOptimizedWarm(qa, start);
-        if (!run.completed || run.fallback_used) {
-          Fail(&r, StrPrintf(
-                       "warm run (seed %llu, start %d) at point %llu %s",
-                       static_cast<unsigned long long>(seed), start,
-                       static_cast<unsigned long long>(qa),
-                       run.fallback_used ? "used the fallback"
-                                         : "did not complete"));
-          continue;
-        }
-        const double subopt = sim.SubOpt(run, qa);
-        if (subopt < 1.0 - 1e-6) {
-          Fail(&r, StrPrintf("impossible warm sub-optimality %.17g < 1 at "
-                             "point %llu (seed %llu)",
-                             subopt, static_cast<unsigned long long>(qa),
-                             static_cast<unsigned long long>(seed)));
-        }
-        if (subopt > bound * (1.0 + 1e-6)) {
-          Fail(&r, StrPrintf(
-                       "warm start broke the MSO bound at point %llu: "
-                       "SubOpt %.17g > %.17g (seed %llu, start %d)",
-                       static_cast<unsigned long long>(qa), subopt, bound,
-                       static_cast<unsigned long long>(seed), start));
-        }
-      }
-    }
-    // Misprediction: a max-corner seed may start above q_a's band; the run
-    // forfeits the bound but must still complete within its budgets.
-    const int wild =
-        WarmStartContour(bouquet, diagram.cost_at(n - 1), /*safety_margin=*/0);
-    const SimResult run = sim.RunOptimizedWarm(qa, wild);
-    if (!run.completed || run.fallback_used) {
-      Fail(&r, StrPrintf("mispredicted warm run (start %d) at point %llu %s",
-                         wild, static_cast<unsigned long long>(qa),
-                         run.fallback_used ? "used the fallback"
-                                           : "did not complete"));
-    }
-  }
-  return r;
-}
-
 }  // namespace
 
 InvariantReport CheckInvariants(const FuzzInstance& instance,
@@ -706,9 +630,6 @@ InvariantReport CheckInvariants(const FuzzInstance& instance,
     const ExecDiffResult diff = CheckExecDifferential(instance, exec_opts);
     report.exec_differential.ok = diff.ok;
     report.exec_differential.detail = diff.detail;
-  }
-  if (options.mutation == FuzzMutation::kNone) {
-    report.warm_start = CheckWarmStart(grid, diagram, bouquet, &opt, options);
   }
   return report;
 }

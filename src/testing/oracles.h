@@ -34,13 +34,6 @@
 //                       cost, same abort points across budget sweeps, same
 //                       result rows and per-node counters (see
 //                       testing/exec_differential.h).
-//   * warm_start      — feedback warm-started runs (contour skip derived
-//                       from a seed location, feedback/warm_start.h) always
-//                       complete without fallback, and when the seed is
-//                       dominated by q_a the run's sub-optimality stays
-//                       within the same Theorem 3 bound as a cold run;
-//                       mispredicted seeds (beyond q_a) must still
-//                       complete, they just forfeit the bound.
 //
 // Mutation injection deliberately corrupts one artifact mid-pipeline so the
 // harness can prove it would catch a real bug (the PR's mutation test).
@@ -90,10 +83,6 @@ struct OracleOptions {
   bool exec_differential = true;
   /// Per-table row cap for the materialized differential data.
   int64_t exec_differential_rows = 256;
-  /// q_a points sampled (evenly) for the warm-start oracle; each is paired
-  /// with dominated, exact, and mispredicted seeds. 0 disables. Skipped
-  /// under mutation, whose corruptions void the ladder the clamp rests on.
-  int warm_start_samples = 12;
   double tolerance = 1e-9;
 };
 
@@ -111,7 +100,6 @@ struct InvariantReport {
   OracleResult roundtrip;
   OracleResult metamorphic;
   OracleResult exec_differential;
-  OracleResult warm_start;
 
   uint64_t grid_points = 0;
   int num_contours = 0;

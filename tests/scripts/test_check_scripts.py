@@ -8,7 +8,8 @@ interface CI uses — against crafted passing and failing inputs and assert
 on the exit code plus the specific failure text, so a checker that starts
 failing for the WRONG reason is also caught.
 
-Covered: check_trace_schema.py, check_lint_fixtures.py.
+Covered: check_trace_schema.py, check_lint_fixtures.py, and the src/
+sweep of tools/lint/run_lint.py (ctest test_lint_src_clean).
 Stdlib only (unittest); registered in ctest as test_check_scripts.
 """
 
@@ -146,6 +147,34 @@ class LintFixtureGateTest(CheckerTestCase):
         f = self.write_text("control_dirty.cc",
                             "void G();\nvoid F() { (void)G(); }\n")
         self.assert_fail(self.check(f), "reported but not expected")
+
+
+class LintSweepTest(CheckerTestCase):
+    """The src/ sweep fails on a schema name that no call under src/ names,
+    so a retired span or metric cannot linger in the schema."""
+
+    def sweep(self, span_names):
+        os.makedirs(os.path.join(self.tmp, "src"), exist_ok=True)
+        os.makedirs(os.path.join(self.tmp, "scripts"), exist_ok=True)
+        self.write_text(os.path.join("src", "emit.cc"),
+                        "void F(obs::Tracer* t) {\n"
+                        '  obs::Span s = obs::Tracer::Begin(t, "a.used", '
+                        "nullptr);\n"
+                        "}\n")
+        self.write_text(os.path.join("scripts", "trace_schema.json"),
+                        json.dumps({"known_span_names": span_names,
+                                    "known_metric_names": []}))
+        return subprocess.run(
+            [sys.executable, os.path.join(REPO, "tools", "lint",
+                                          "run_lint.py"),
+             "--root", self.tmp],
+            capture_output=True, text=True)
+
+    def test_fails_on_unemitted_schema_name(self):
+        self.assert_pass(self.sweep(["a.used"]))
+        proc = self.sweep(["a.used", "a.retired"])
+        self.assert_fail(proc, 'span name "a.retired" is in the schema')
+        self.assertNotIn('"a.used"', proc.stdout)
 
 
 if __name__ == "__main__":

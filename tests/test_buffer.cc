@@ -286,6 +286,29 @@ TEST_F(PinnedFixture, AccessedPageStaysResidentAfterUnpin) {
   EXPECT_EQ(bm.stats().physical_reads, 1u);  // second pin was frame reuse
 }
 
+TEST_F(PinnedFixture, DropFileDiscardsResidentFrameWithoutEvicting) {
+  BufferManager bm(4, EvictionPolicyKind::kLru);
+  const uint16_t fid = bm.RegisterFile(file_.get());
+  const PageId id{fid, 0};
+  bm.Access(id);  // resident
+  {
+    PageGuard g = bm.Pin(id);
+    ASSERT_TRUE(g.valid());
+    g.mutable_data()[100] = 0x5A;  // dirty
+  }
+  ASSERT_EQ(bm.physical_frames(), 1u);  // resident, unpinned, dirty
+  const BufferStats before = bm.stats();
+  bm.DropFile(fid);
+  const BufferStats after = bm.stats();
+  EXPECT_EQ(bm.physical_frames(), 0u);
+  // Dropping is not evicting, and a dropped file's pages have nowhere to
+  // be written back to.
+  EXPECT_EQ(after.evictions, before.evictions);
+  EXPECT_EQ(after.writebacks, before.writebacks);
+  EXPECT_EQ(after.physical_writes, before.physical_writes);
+  EXPECT_FALSE(bm.Access(id));  // residency went with the file
+}
+
 TEST_F(PinnedFixture, AllPinnedStarvationOvershootsPool) {
   // The pool holds 2 pages but 6 are pinned at once: eviction is starved,
   // Pin never fails, and the overshoot is observable via physical_frames.

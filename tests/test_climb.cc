@@ -150,34 +150,13 @@ struct ScriptedStep {
   void Fallback() { calls.push_back(Fall()); }
 };
 
-TEST(StartContourTest, ClampsIntoTheLadder) {
-  EXPECT_EQ(StartContour(-3, 5), 0u);
-  EXPECT_EQ(StartContour(0, 5), 0u);
-  EXPECT_EQ(StartContour(4, 5), 4u);
-  // Past the ladder: the last contour, not one past it.
-  EXPECT_EQ(StartContour(5, 5), 4u);
-  EXPECT_EQ(StartContour(99, 5), 4u);
-  EXPECT_EQ(StartContour(3, 0), 0u);
-}
-
-TEST(ClimbTest, WarmStartPastTheLadderRunsTheLastContour) {
-  const Ladder l;
-  for (int start : {3, 99}) {
-    ScriptedStep s;
-    s.complete_at = 0;
-    ClimbOptimized(*l.index, start, &s);
-    EXPECT_EQ(s.calls, (std::vector<Call>{X(2, Ladder::D, 0)}))
-        << "start " << start;
-  }
-}
-
 TEST(ClimbTest, CrossesEachContourWhoseScanIsEmpty) {
   // q_run at the max corner: only the last contour has a point in its first
   // quadrant. The climb crosses the others without executing anything.
   const Ladder l;
   ScriptedStep s;
   s.qrun = {3, 3};
-  ClimbOptimized(*l.index, 0, &s);
+  ClimbOptimized(*l.index, &s);
   EXPECT_EQ(s.calls, (std::vector<Call>{Cross(0), Cross(1),
                                         X(2, Ladder::D, 0), Cross(2),
                                         Fall()}));
@@ -186,42 +165,50 @@ TEST(ClimbTest, CrossesEachContourWhoseScanIsEmpty) {
 TEST(ClimbTest, AxisPoolBeatsCheaperCandidates) {
   // From the origin, contour 1's axis plans are D (0,3) and A (3,0); C and
   // B sit off the axes. C is by far the cheapest, but the pool is the axis
-  // plans, and of those A has the deepest error node.
+  // plans, and of those A has the deepest error node. (On contour 0 both
+  // plans are axis plans, so the cheap B runs first there.)
   const Ladder l;
   ScriptedStep s;
   s.cost = {{Ladder::C, 0.01}, {Ladder::B, 0.01}};
-  s.complete_at = 0;
-  ClimbOptimized(*l.index, 1, &s);
-  EXPECT_EQ(s.calls, (std::vector<Call>{X(1, Ladder::A, 0)}));
+  s.complete_at = 2;
+  ClimbOptimized(*l.index, &s);
+  EXPECT_EQ(s.calls, (std::vector<Call>{X(0, Ladder::B, 1),
+                                        X(0, Ladder::A, 0), Cross(0),
+                                        X(1, Ladder::A, 0)}));
 }
 
 TEST(ClimbTest, CostGroupIsTwentyPercentAboveTheCheapest) {
-  // Pool {D, A}; D costs 5 (depth 1), A is deeper (depth 2). A joins the
-  // cheapest group only within 5 * 1.2 = 6.
+  // Contour 1's pool is {D, A}; D costs 5 (depth 1), A is deeper (depth 2).
+  // A joins the cheapest group only within 5 * 1.2 = 6. Contour 0 runs
+  // B, then A, first.
   const Ladder l;
   for (const auto& [a_cost, want] :
        std::vector<std::pair<double, int>>{{5.9, Ladder::A},
                                            {6.1, Ladder::D}}) {
     ScriptedStep s;
     s.cost = {{Ladder::D, 5.0}, {Ladder::A, a_cost}};
-    s.complete_at = 0;
-    ClimbOptimized(*l.index, 1, &s);
-    ASSERT_EQ(s.calls.size(), 1u);
-    EXPECT_EQ(s.calls[0].plan, want) << "A costs " << a_cost;
+    s.complete_at = 2;
+    ClimbOptimized(*l.index, &s);
+    ASSERT_EQ(s.calls.size(), 4u);
+    EXPECT_EQ(s.calls[3].contour, 1);
+    EXPECT_EQ(s.calls[3].plan, want) << "A costs " << a_cost;
   }
 }
 
 TEST(ClimbTest, DepthTieGoesToThePlanListedFirst) {
   // Dimension 0 learned: D and A both reach depth 1 in dimension 1. D's
   // point comes first on contour 1, so D runs first although A's id is
-  // lower; the learning dimension is the open one.
+  // lower; the learning dimension is the open one. On contour 0, B is
+  // deeper in dimension 1 than A, so B runs first.
   const Ladder l;
   ScriptedStep s;
   s.learned_flags = {true, false};
-  s.complete_at = 1;
-  ClimbOptimized(*l.index, 1, &s);
+  s.complete_at = 3;
+  ClimbOptimized(*l.index, &s);
   EXPECT_EQ(s.calls,
-            (std::vector<Call>{X(1, Ladder::D, 1), X(1, Ladder::A, 1)}));
+            (std::vector<Call>{X(0, Ladder::B, 1), X(0, Ladder::A, 1),
+                               Cross(0), X(1, Ladder::D, 1),
+                               X(1, Ladder::A, 1)}));
 }
 
 TEST(ClimbTest, EveryContourPlanRunsOnceBeforeTheFallback) {
@@ -230,7 +217,7 @@ TEST(ClimbTest, EveryContourPlanRunsOnceBeforeTheFallback) {
   // then the climb falls back after the last contour.
   const Ladder l;
   ScriptedStep s;
-  ClimbOptimized(*l.index, 0, &s);
+  ClimbOptimized(*l.index, &s);
   EXPECT_EQ(s.calls,
             (std::vector<Call>{X(0, Ladder::A, 0), X(0, Ladder::B, 1),
                                Cross(0), X(1, Ladder::A, 0),
@@ -267,7 +254,7 @@ TEST(ClimbTest, NoContoursMeansFallbackAtOnce) {
   l.index = std::make_unique<ContourIndex>(l.bouquet, l.diagram, l.query);
   ScriptedStep basic, optimized;
   ClimbBasic(l.bouquet, *l.index, &basic);
-  ClimbOptimized(*l.index, 2, &optimized);
+  ClimbOptimized(*l.index, &optimized);
   EXPECT_EQ(basic.calls, (std::vector<Call>{Fall()}));
   EXPECT_EQ(optimized.calls, (std::vector<Call>{Fall()}));
 }

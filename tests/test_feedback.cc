@@ -1,7 +1,6 @@
 // Tests for src/feedback: the cross-query selectivity feedback store —
 // aggregation, crash-safe log recovery (truncated/garbage tails), and
-// concurrent access — plus the warm-start / box-shrink policy helpers and
-// warm execution equivalence on real data (byte-identical results).
+// concurrent access — plus the box-shrink helpers.
 
 #include <gtest/gtest.h>
 
@@ -14,27 +13,14 @@
 #include <vector>
 
 #include "bouquet/driver.h"
-#include "bouquet/simulator.h"
-#include "ess/posp_generator.h"
 #include "feedback/feedback_store.h"
-#include "feedback/warm_start.h"
-#include "workloads/spaces.h"
-#include "workloads/tpch.h"
+#include "feedback/shrunken_box.h"
 
 namespace bouquet {
 namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + name;
-}
-
-// Result rows echo join columns in plan-dependent order (the executor emits
-// the executing plan's schema), so cross-plan result equality is multiset
-// equality over per-row value multisets.
-std::vector<Row> CanonicalRows(std::vector<Row> rows) {
-  for (Row& row : rows) std::sort(row.begin(), row.end());
-  std::sort(rows.begin(), rows.end());
-  return rows;
 }
 
 FeedbackObservation Obs(uint64_t hash, std::vector<double> sels,
@@ -223,50 +209,6 @@ TEST(FeedbackStoreTest, ConcurrentRecordLookupCompact) {
   std::remove(path.c_str());
 }
 
-TEST(WarmStartTest, SeedRequiresUsableFeedback) {
-  WarmStartPolicy policy;
-  policy.min_observations = 3;
-  TemplateFeedback fb;
-  DimVector seed;
-  fb.observations = 2;
-  fb.max_final_contour = 1;
-  fb.support = {{0.1, 0.2}};
-  EXPECT_FALSE(WarmStartSeed(fb, policy, &seed));  // too few observations
-  fb.observations = 3;
-  fb.max_final_contour = -1;
-  EXPECT_FALSE(WarmStartSeed(fb, policy, &seed));  // nothing completed
-  fb.max_final_contour = 1;
-  fb.support.clear();
-  EXPECT_FALSE(WarmStartSeed(fb, policy, &seed));  // no support
-  fb.support = {{0.0, 0.2}};
-  EXPECT_FALSE(WarmStartSeed(fb, policy, &seed));  // non-positive lo
-  fb.support = {{0.1, 0.2}, {0.05, 0.6}};
-  ASSERT_TRUE(WarmStartSeed(fb, policy, &seed));
-  ASSERT_EQ(seed.size(), 2u);
-  EXPECT_DOUBLE_EQ(seed[0], 0.1);   // per-dim observed minimum
-  EXPECT_DOUBLE_EQ(seed[1], 0.05);
-}
-
-TEST(WarmStartTest, ContourClampsAndBacksOff) {
-  PlanBouquet bouquet;
-  for (const double step : {10.0, 20.0, 40.0, 80.0}) {
-    BouquetContour c;
-    c.step_cost = step;
-    c.budget = step;
-    bouquet.contours.push_back(std::move(c));
-  }
-  EXPECT_EQ(WarmStartContour(bouquet, 25.0, 0), 2);
-  EXPECT_EQ(WarmStartContour(bouquet, 25.0, 1), 1);
-  EXPECT_EQ(WarmStartContour(bouquet, 25.0, 5), 0);   // margin clamps at 0
-  EXPECT_EQ(WarmStartContour(bouquet, 5.0, 0), 0);
-  EXPECT_EQ(WarmStartContour(bouquet, 20.0, 0), 1);   // boundary inclusive
-  EXPECT_EQ(WarmStartContour(bouquet, 1000.0, 0), 3);  // beyond Cmax: last
-  EXPECT_EQ(WarmStartContour(bouquet, 1000.0, 1), 2);
-  EXPECT_EQ(WarmStartContour(bouquet, NAN, 0), 0);
-  EXPECT_EQ(WarmStartContour(bouquet, -3.0, 0), 0);
-  EXPECT_EQ(WarmStartContour(PlanBouquet{}, 25.0, 0), 0);
-}
-
 class ShrunkenBoxTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -277,18 +219,16 @@ class ShrunkenBoxTest : public ::testing::Test {
       query_.error_dims.push_back(dim);
     }
     fb_.observations = 5;
-    fb_.max_final_contour = 2;
     fb_.support = {{0.01, 0.02}, {0.1, 0.2}};
   }
   QuerySpec query_;
   TemplateFeedback fb_;
-  WarmStartPolicy policy_;
 };
 
 TEST_F(ShrunkenBoxTest, ShrinksWithGuardBandInsideDeclaredRange) {
-  policy_.guard_band = 4.0;
+  ASSERT_EQ(kShrinkGuardBand, 4.0);
   EssBox box;
-  ASSERT_TRUE(ShrunkenBox(query_, fb_, policy_, &box));
+  ASSERT_TRUE(ShrunkenBox(query_, fb_, &box));
   ASSERT_EQ(box.lo.size(), 2u);
   EXPECT_DOUBLE_EQ(box.lo[0], 0.01 / 4.0);
   EXPECT_DOUBLE_EQ(box.hi[0], 0.02 * 4.0);
@@ -298,33 +238,32 @@ TEST_F(ShrunkenBoxTest, ShrinksWithGuardBandInsideDeclaredRange) {
 
 TEST_F(ShrunkenBoxTest, ClampsIntoDeclaredRange) {
   fb_.support = {{2e-4, 0.9}, {0.01, 0.02}};
-  policy_.guard_band = 10.0;
   EssBox box;
   // Dim 0 clamps to the full declared range; dim 1 still shrinks.
-  ASSERT_TRUE(ShrunkenBox(query_, fb_, policy_, &box));
+  ASSERT_TRUE(ShrunkenBox(query_, fb_, &box));
   EXPECT_DOUBLE_EQ(box.lo[0], 1e-4);
   EXPECT_DOUBLE_EQ(box.hi[0], 1.0);
-  EXPECT_DOUBLE_EQ(box.lo[1], 0.01 / 10.0);
-  EXPECT_DOUBLE_EQ(box.hi[1], 0.02 * 10.0);
+  EXPECT_DOUBLE_EQ(box.lo[1], 0.01 / 4.0);
+  EXPECT_DOUBLE_EQ(box.hi[1], 0.02 * 4.0);
 }
 
 TEST_F(ShrunkenBoxTest, RefusesWhenNothingShrinks) {
   fb_.support = {{1e-4, 1.0}, {1e-4, 1.0}};
   EssBox box;
-  EXPECT_FALSE(ShrunkenBox(query_, fb_, policy_, &box));
-  fb_.observations = 0;
-  EXPECT_FALSE(ShrunkenBox(query_, fb_, policy_, &box));
-  fb_.observations = 5;
+  EXPECT_FALSE(ShrunkenBox(query_, fb_, &box));
+  fb_.support = {{0.01, 0.02}, {0.1, 0.2}};
+  fb_.observations = kShrinkMinObservations - 1;  // too few runs
+  EXPECT_FALSE(ShrunkenBox(query_, fb_, &box));
+  fb_.observations = kShrinkMinObservations;
+  EXPECT_TRUE(ShrunkenBox(query_, fb_, &box));
   fb_.support = {{0.01, 0.02}};  // dimensionality mismatch
-  EXPECT_FALSE(ShrunkenBox(query_, fb_, policy_, &box));
+  EXPECT_FALSE(ShrunkenBox(query_, fb_, &box));
 }
 
 TEST_F(ShrunkenBoxTest, ResolutionsScaleWithLogRange) {
   EssBox box;
-  policy_.guard_band = 4.0;
-  ASSERT_TRUE(ShrunkenBox(query_, fb_, policy_, &box));
-  const std::vector<int> out =
-      ShrunkenResolutions(query_, box, {16, 16}, /*min_resolution=*/4);
+  ASSERT_TRUE(ShrunkenBox(query_, fb_, &box));
+  const std::vector<int> out = ShrunkenResolutions(query_, box, {16, 16});
   ASSERT_EQ(out.size(), 2u);
   for (int d = 0; d < 2; ++d) {
     const double ratio = std::log(box.hi[d] / box.lo[d]) / std::log(1.0 / 1e-4);
@@ -350,84 +289,6 @@ TEST(ContourHistogramTest, BucketsNativeSentinelSeparately) {
   EXPECT_EQ(h.by_contour[2], 1);
   EXPECT_EQ(HistogramSteps({}).native, 0);
   EXPECT_TRUE(HistogramSteps({}).by_contour.empty());
-}
-
-// Warm execution on real data: skipping a prefix of the ladder must leave
-// the final result byte-identical and only remove steps.
-class WarmDriverTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    TpchDataOptions opts;
-    opts.mini_scale = 0.1;
-    MakeTpchDatabase(&db_, opts);
-    SyncTpchCatalog(db_, &catalog_);
-    query_ = Make2DHQ8a(catalog_);
-    achieved_ = BindSelectionConstants(&query_, catalog_, {0.337, 0.456});
-    ASSERT_TRUE(query_.Validate(catalog_).ok());
-    opt_ = std::make_unique<QueryOptimizer>(query_, catalog_,
-                                            CostParams::Postgres());
-    grid_ = std::make_unique<EssGrid>(query_, std::vector<int>{10, 10});
-    diagram_ = std::make_unique<PlanDiagram>(
-        GeneratePosp(query_, catalog_, CostParams::Postgres(), *grid_));
-    bouquet_ = std::make_unique<PlanBouquet>(
-        BuildBouquet(*diagram_, opt_.get()));
-  }
-
-  Database db_;
-  Catalog catalog_;
-  QuerySpec query_;
-  std::vector<double> achieved_;
-  std::unique_ptr<QueryOptimizer> opt_;
-  std::unique_ptr<EssGrid> grid_;
-  std::unique_ptr<PlanDiagram> diagram_;
-  std::unique_ptr<PlanBouquet> bouquet_;
-};
-
-TEST_F(WarmDriverTest, WarmRunMatchesColdRunResult) {
-  BouquetDriver cold(*bouquet_, *diagram_, opt_.get(), &db_);
-  const DriverResult cold_res = cold.RunOptimized();
-  ASSERT_TRUE(cold_res.completed);
-  EXPECT_EQ(cold_res.warm_contours_skipped, 0);
-  const ContourHistogram cold_hist = HistogramSteps(cold_res.steps);
-  ASSERT_GT(cold_res.contours_crossed, 1);  // there is a prefix to skip
-
-  BouquetDriver warm(*bouquet_, *diagram_, opt_.get(), &db_);
-  warm.SetWarmStart(1);
-  const DriverResult warm_res = warm.RunOptimized();
-  ASSERT_TRUE(warm_res.completed);
-  EXPECT_EQ(warm_res.warm_contours_skipped, 1);
-  EXPECT_EQ(CanonicalRows(warm_res.rows), CanonicalRows(cold_res.rows));
-  EXPECT_LE(warm_res.steps.size(), cold_res.steps.size());
-  const ContourHistogram warm_hist = HistogramSteps(warm_res.steps);
-  EXPECT_EQ(warm_hist.by_contour.empty() ? 0 : warm_hist.by_contour[0], 0)
-      << "warm run must not execute the skipped contour";
-  EXPECT_EQ(warm_hist.native, cold_hist.native);
-}
-
-TEST_F(WarmDriverTest, NegativeWarmStartIsIgnored) {
-  BouquetDriver driver(*bouquet_, *diagram_, opt_.get(), &db_);
-  driver.SetWarmStart(-3);
-  const DriverResult res = driver.RunOptimized();
-  ASSERT_TRUE(res.completed);
-  EXPECT_EQ(res.warm_contours_skipped, 0);
-}
-
-TEST_F(WarmDriverTest, SimulatorWarmZeroEqualsCold) {
-  const BouquetSimulator sim(*bouquet_, *diagram_, opt_.get());
-  const uint64_t qa = grid_->num_points() / 2;
-  const SimResult cold = sim.RunOptimized(qa);
-  const SimResult warm0 = sim.RunOptimizedWarm(qa, 0);
-  ASSERT_TRUE(cold.completed);
-  ASSERT_TRUE(warm0.completed);
-  EXPECT_EQ(warm0.start_contour, 0);
-  EXPECT_EQ(warm0.total_cost, cold.total_cost);
-  EXPECT_EQ(warm0.steps.size(), cold.steps.size());
-
-  // Even an absurdly deep warm start completes without the fallback.
-  const SimResult deep =
-      sim.RunOptimizedWarm(qa, static_cast<int>(bouquet_->contours.size()));
-  EXPECT_TRUE(deep.completed);
-  EXPECT_FALSE(deep.fallback_used);
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // Tests for the concurrent bouquet service layer: ThreadPool semantics
 // (including nest-safety), template-key structural identity, BouquetCache
 // LRU eviction + counters, single-flight compilation dedup, pool-parallel
-// POSP determinism, warm-start from serialized bouquets, and the per-request
-// stats split.
+// POSP determinism, warm-start from serialized bouquets, the per-request
+// stats split, and feedback: records that leave climbs unchanged, the
+// shrunken-box compile, and a request far outside a stale shrunken box.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "bouquet/serialize.h"
 #include "common/thread_pool.h"
 #include "ess/posp_generator.h"
+#include "feedback/shrunken_box.h"
 #include "service/bouquet_cache.h"
 #include "service/service.h"
 #include "service/template_key.h"
@@ -26,6 +30,15 @@
 
 namespace bouquet {
 namespace {
+
+// Result rows echo join columns in plan-dependent order (the executor emits
+// the executing plan's schema), so cross-plan result equality is multiset
+// equality over per-row value multisets.
+std::vector<Row> CanonicalRows(std::vector<Row> rows) {
+  for (Row& row : rows) std::sort(row.begin(), row.end());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
 // ---------------------------------------------------------------- ThreadPool
 
@@ -538,37 +551,50 @@ TEST(BouquetCacheTest, WarmEntriesTrackedThroughEviction) {
   EXPECT_EQ(cache.stats().warm_entries, 0u);
 }
 
-TEST_F(ServiceTest, FeedbackWarmRunSkipsContours) {
+// Feedback records every run and never moves a climb: with a store
+// attached, each repeat of one binding returns, step for step, what a
+// service without a store returns.
+TEST_F(ServiceTest, FeedbackLeavesClimbsUnchanged) {
   FeedbackStore store;  // memory-only: durability is test_feedback's job
   ServiceOptions opts = FastOptions();
+  BouquetService plain(catalog_, opts);
   opts.feedback = &store;
   BouquetService service(catalog_, opts);
   ServiceRequest req;
   req.query = query_;
   req.actual_selectivities = {0.9};
 
-  // The policy demands min_observations (3) before acting on feedback.
-  for (int i = 0; i < 3; ++i) {
-    auto res = service.Run(req);
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
-    ASSERT_TRUE(res->sim.completed);
-    EXPECT_EQ(res->sim.start_contour, 0);
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE(testing::Message() << "request " << i);
+    auto want = plain.Run(req);
+    auto got = service.Run(req);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    const SimResult& w = want->sim;
+    const SimResult& g = got->sim;
+    ASSERT_TRUE(g.completed);
+    EXPECT_EQ(g.fallback_used, w.fallback_used);
+    EXPECT_EQ(g.total_cost, w.total_cost);
+    EXPECT_EQ(g.num_executions, w.num_executions);
+    EXPECT_EQ(g.final_plan, w.final_plan);
+    EXPECT_EQ(g.final_contour, w.final_contour);
+    ASSERT_EQ(g.steps.size(), w.steps.size());
+    for (size_t k = 0; k < g.steps.size(); ++k) {
+      EXPECT_EQ(g.steps[k].contour, w.steps[k].contour) << "step " << k;
+      EXPECT_EQ(g.steps[k].plan_id, w.steps[k].plan_id) << "step " << k;
+      EXPECT_EQ(g.steps[k].budget, w.steps[k].budget) << "step " << k;
+      EXPECT_EQ(g.steps[k].charged, w.steps[k].charged) << "step " << k;
+      EXPECT_EQ(g.steps[k].completed, w.steps[k].completed) << "step " << k;
+      EXPECT_EQ(g.steps[k].learned_dim, w.steps[k].learned_dim)
+          << "step " << k;
+    }
+    EXPECT_EQ(g.qrun_trace, w.qrun_trace);
   }
-  auto warm = service.Run(req);
-  ASSERT_TRUE(warm.ok());
-  ASSERT_TRUE(warm->sim.completed);
-  EXPECT_FALSE(warm->sim.fallback_used);
-  EXPECT_GT(warm->sim.start_contour, 0);  // ladder prefix skipped
 
   const ServiceStats s = service.stats();
-  EXPECT_EQ(s.feedback_lookups, 4u);
-  EXPECT_EQ(s.feedback_hits, 1u);
-  EXPECT_EQ(s.feedback_warm_runs, 1u);
-  EXPECT_GE(s.feedback_contours_skipped, 1u);
   EXPECT_EQ(s.feedback_records, 4u);
-  // Regression: feedback warm runs must stay invisible to the compile
-  // accounting — one template, one compilation == one miss, and the
-  // file-warm-start counter untouched.
+  // One template, one compilation == one miss; the file-warm-start
+  // counter is untouched.
   EXPECT_EQ(s.compilations, 1u);
   EXPECT_EQ(s.cache_misses, 1u);
   EXPECT_EQ(s.warm_starts, 0u);
@@ -608,6 +634,71 @@ TEST_F(ServiceTest, FeedbackShrinksEssBoxOnFreshCompile) {
             static_cast<uint64_t>(opts.grid_resolution));
   // And it compiles with fewer optimizer DP calls than the declared range.
   EXPECT_LT(s.posp_dp_calls, declared_dp_calls);
+}
+
+// A stale shrunken box, pinned as it behaves today: the store's support
+// lies near the declared minimum, so the template compiles over a small box
+// there, and a binding far above the box arrives. The climb finds no
+// contour point in q_run's first quadrant once q_run leaves the box, and
+// its last step runs unbudgeted; the rows are still the query's. Nothing
+// detects the stale box or recompiles: the next request is served by the
+// same cached bundle.
+TEST(ServiceRealDataTest, StaleShrunkenBoxStillReturnsTheRows) {
+  Database db;
+  TpchDataOptions data_opts;
+  data_opts.mini_scale = 0.1;
+  MakeTpchDatabase(&db, data_opts);
+  Catalog catalog;
+  SyncTpchCatalog(db, &catalog);
+  const QuerySpec form = Make2DHQ8a(catalog);  // declared [1e-3, 1] x2
+
+  ServiceOptions opts;
+  opts.num_threads = 2;
+  opts.grid_resolution = 10;
+  opts.min_shard_points = 1;
+  opts.database = &db;
+  BouquetService declared(catalog, opts);
+  FeedbackStore store;
+  opts.feedback = &store;
+  BouquetService shrunken(catalog, opts);
+  for (uint64_t i = 0; i < kShrinkMinObservations; ++i) {
+    FeedbackObservation obs;
+    obs.template_hash = TemplateHash(shrunken.KeyFor(form));
+    obs.selectivities = {0.002, 0.004};
+    obs.final_contour = 0;
+    ASSERT_TRUE(store.Record(obs).ok());
+  }
+
+  ServiceRequest req;
+  req.query = form;
+  BindSelectionConstants(&req.query, catalog, {0.7, 0.6});
+  req.mode = ExecutionMode::kRealData;
+  auto want = declared.Run(req);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(want->real.completed);
+  auto got = shrunken.Run(req);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(got->compiled_bundle->shrunken_box);
+  const EssGrid& box = *got->compiled_bundle->grid;
+  for (int d = 0; d < box.dims(); ++d) {
+    ASSERT_LT(box.axis(d).back(), 0.1) << "dim " << d;
+  }
+
+  ASSERT_TRUE(got->real.completed);
+  EXPECT_EQ(CanonicalRows(got->real.rows), CanonicalRows(want->real.rows));
+  ASSERT_FALSE(got->real.steps.empty());
+  EXPECT_EQ(got->real.steps.back().budget,
+            std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(got->real.steps.back().completed);
+
+  auto next = shrunken.Run(req);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_TRUE(next->cache_hit);
+  EXPECT_EQ(next->compiled_bundle.get(), got->compiled_bundle.get());
+  EXPECT_EQ(CanonicalRows(next->real.rows), CanonicalRows(want->real.rows));
+  const ServiceStats s = shrunken.stats();
+  EXPECT_EQ(s.compilations, 1u);
+  EXPECT_EQ(s.feedback_box_shrinks, 1u);
 }
 
 TEST_F(ServiceTest, StatsExposeWarmCacheGauges) {

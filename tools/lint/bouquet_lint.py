@@ -30,7 +30,10 @@ The checks encode repo-specific invariants the MSO guarantee depends on
                             MetricsRegistry::Get{Counter,Gauge,Histogram}
                             must appear in scripts/trace_schema.json, so
                             schema drift fails at analysis time instead of
-                            in the runtime trace-schema CI job.
+                            in the runtime trace-schema CI job. The src/
+                            sweep (run_lint.py) also fails on a schema
+                            name that no such call under src/ names, so a
+                            retired span or metric cannot linger there.
 
 Statement-level escapes use clang-tidy comment syntax, which this engine
 honors too: `// NOLINT(bouquet-…): reason` and `// NOLINTNEXTLINE(bouquet-…)`.
@@ -414,7 +417,8 @@ def is_declaration_context(clean, idx):
     return clean[j + 1:i + 1] != "return"
 
 
-def check_trace_name(src, findings, schema):
+def check_trace_name(src, findings, schema, emitted):
+    """Also adds each (kind, name) the file's calls name to `emitted`."""
     if schema is None or not re.search(r"(^|/)(src|tests/static/lint)/",
                                        src.rel):
         return
@@ -431,11 +435,23 @@ def check_trace_name(src, findings, schema):
                 report(findings, src, m.start(), "bouquet-trace-name",
                        f"non-literal {what} name defeats schema checking; "
                        "pass a literal from scripts/trace_schema.json")
-            elif lit.group(1) not in names:
-                report(findings, src, lit.start(), "bouquet-trace-name",
-                       f'{what} name "{lit.group(1)}" is not in '
-                       "scripts/trace_schema.json; add it to the schema "
-                       "(and teach the trace-schema CI job) or fix the typo")
+            else:
+                emitted.add((what, lit.group(1)))
+                if lit.group(1) not in names:
+                    report(findings, src, lit.start(), "bouquet-trace-name",
+                           f'{what} name "{lit.group(1)}" is not in '
+                           "scripts/trace_schema.json; add it to the schema "
+                           "(and teach the trace-schema CI job) or fix the "
+                           "typo")
+
+
+def unemitted_schema_names(schema, emitted):
+    """(kind, name) of each schema entry that no linted call names."""
+    return [(what, name)
+            for key, what in (("known_span_names", "span"),
+                              ("known_metric_names", "metric"))
+            for name in schema.get(key, ())
+            if (what, name) not in emitted]
 
 
 # --------------------------------------------------------------------------
@@ -457,7 +473,9 @@ def load_sources(root, paths):
     return sources
 
 
-def main(argv):
+def main(argv, require_emitted=False):
+    """Lints the files named in argv. With require_emitted (the src/ sweep),
+    a schema name that none of the files' calls names is a failure too."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("files", nargs="+", help="C++ sources/headers to lint")
     ap.add_argument("--root", default=None,
@@ -498,6 +516,7 @@ def main(argv):
 
     sources = load_sources(root, args.files)
     findings = []
+    emitted = set()
     for src in sources:
         if "bouquet-determinism" in enabled:
             check_determinism(src, findings)
@@ -508,13 +527,22 @@ def main(argv):
         if "bouquet-discarded-status" in enabled:
             check_discarded_status(src, findings)
         if "bouquet-trace-name" in enabled:
-            check_trace_name(src, findings, schema)
+            check_trace_name(src, findings, schema, emitted)
 
     findings.sort(key=lambda f: (f.src.rel, f.line, f.col, f.check))
     for f in findings:
         print(f.render())
-    if findings:
-        print(f"bouquet-lint: {len(findings)} finding(s)", file=sys.stderr)
+    unemitted = []
+    if require_emitted and "bouquet-trace-name" in enabled:
+        unemitted = unemitted_schema_names(schema, emitted)
+        schema_rel = os.path.relpath(schema_path, root).replace(os.sep, "/")
+        for what, name in unemitted:
+            print(f'{schema_rel}: warning: {what} name "{name}" is in the '
+                  f"schema but no {what} call in the linted sources names "
+                  "it; drop it from the schema [bouquet-trace-name]")
+    if findings or unemitted:
+        print(f"bouquet-lint: {len(findings) + len(unemitted)} finding(s)",
+              file=sys.stderr)
         return 1
     return 0
 
