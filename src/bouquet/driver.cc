@@ -84,7 +84,6 @@ void BouquetDriver::SetObservability(obs::Tracer* tracer,
                                      obs::MetricsRegistry* metrics,
                                      const obs::Span* parent) {
   tracer_ = tracer;
-  metrics_ = metrics;
   if (parent != nullptr && parent->enabled()) {
     trace_parent_ = parent->id();
     trace_id_ = parent->trace_id();
@@ -93,27 +92,30 @@ void BouquetDriver::SetObservability(obs::Tracer* tracer,
     trace_id_ = 0;
   }
   ins_ = Instruments{};
-  if (metrics_ == nullptr) return;
-  ins_.executions = metrics_->GetCounter(
+  if (metrics == nullptr) return;
+  ins_.executions = metrics->GetCounter(
       "bouquet_driver_executions_total",
       "Plan executions issued by the driver (partial, spill, and final)");
-  ins_.contour_crossings = metrics_->GetCounter(
+  ins_.contour_crossings = metrics->GetCounter(
       "bouquet_driver_contour_crossings_total",
       "Isocost contours abandoned without the query completing");
-  ins_.spills = metrics_->GetCounter(
+  ins_.spills = metrics->GetCounter(
       "bouquet_driver_spills_total",
       "Spill-mode (subtree-only) learning executions");
-  ins_.fallbacks = metrics_->GetCounter(
+  ins_.fallbacks = metrics->GetCounter(
       "bouquet_driver_fallbacks_total",
       "Safety-net unbounded executions after every contour budget was "
       "exhausted");
-  ins_.dims_learned = metrics_->GetCounter(
+  ins_.dims_learned = metrics->GetCounter(
       "bouquet_driver_dims_learned_total",
       "Error dimensions learned exactly from instrumentation counters");
-  ins_.budget_utilization = metrics_->GetHistogram(
+  ins_.budget_utilization = metrics->GetHistogram(
       "bouquet_driver_budget_utilization",
       "charged/budget ratio per budget-limited execution",
       obs::BudgetUtilizationBuckets());
+  ins_.batch_rows = metrics->GetHistogram(
+      "bouquet_exec_batch_rows", "Rows per batch produced at the executor root",
+      obs::BatchSizeBuckets());
 }
 
 void BouquetDriver::ObserveStep(const DriverStep& step, obs::Span* span) {
@@ -147,7 +149,7 @@ void BouquetDriver::RunStep(const PlanNode& root, DriverStep step,
   ctx->catalog = &opt_->catalog();
   ctx->db = db_;
   ctx->cost_model = &opt_->cost_model();
-  ctx->metrics = metrics_;
+  ctx->batch_rows = ins_.batch_rows;
   ctx->tracer = tracer_;
   ctx->trace_parent = span.id();
   ctx->trace_id = span.trace_id();

@@ -142,10 +142,10 @@ class BouquetDriver {
                         const obs::Span* parent = nullptr);
 
   /// Selects the execution engine for every subsequent (partial) execution.
-  /// Defaults to the vectorized batch engine; both engines produce
-  /// bit-identical cost accounting, step sequences, and result multisets
-  /// (enforced by the differential harness), so this is a throughput knob
-  /// and the scalar engine doubles as the differential-testing oracle.
+  /// Defaults to the vectorized batch engine, which every serving path
+  /// runs; tests and benches select the scalar engine, the oracle the batch
+  /// engine's bit-identical accounting, step sequences and result multisets
+  /// are checked against (the differential harness).
   void SetEngine(ExecEngine engine) { engine_ = engine; }
   ExecEngine engine() const { return engine_; }
 
@@ -160,6 +160,7 @@ class BouquetDriver {
     obs::Counter* fallbacks = nullptr;
     obs::Counter* dims_learned = nullptr;
     obs::Histogram* budget_utilization = nullptr;
+    obs::Histogram* batch_rows = nullptr;  ///< the executor's, per root batch
   };
   // Fills `span` (started before the execution so operator spans nest
   // under it) with the step's record, ends it, and updates the metrics.
@@ -184,7 +185,6 @@ class BouquetDriver {
   const ContourIndex* index_;
   ExecEngine engine_ = ExecEngine::kBatch;
   obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   Instruments ins_;
   uint64_t trace_parent_ = 0;  ///< parent span id for the run root span
   uint64_t trace_id_ = 0;

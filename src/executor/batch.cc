@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <unordered_map>
 
 #include "executor/binding.h"
+#include "executor/charge_units.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
-#include "optimizer/plan_signature.h"
 #include "storage/buffer_manager.h"
 #include "storage/paged_table.h"
 
@@ -110,21 +108,11 @@ void BatchExecState::SettleDirect() {
   totals_.charged = 0;
 }
 
-int BatchOp::FindColumn(int table_idx, int col_idx) const {
-  for (size_t i = 0; i < schema_.size(); ++i) {
-    if (schema_[i].table_idx == table_idx && schema_[i].col_idx == col_idx) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 namespace {
 
 using exec_internal::BoundEquality;
 using exec_internal::BoundFilter;
 using exec_internal::EvalFilterValue;
-using exec_internal::FilterToRange;
 
 // ---------------------------------------------------------------------------
 // Selection-vector kernels. Sequential scans normalize every comparison to
@@ -298,26 +286,21 @@ class BatchSeqScanOp : public BatchOp {
     const std::string& tname = ctx->query->tables[node->table_idx];
     table_ = &ctx->db->table(tname);
     paged_ = ctx->db->paged(tname);
-    const TableInfo& info = ctx->catalog->GetTable(tname);
-    const auto& p = ctx->cost_model->params();
     // The charge prices every bound filter, whether or not the normalized
-    // form below still needs to evaluate it — same formula as the scalar
-    // scan, which likewise charges independently of short-circuiting.
+    // form below still needs to evaluate it, as the scalar scan charges
+    // independently of short-circuiting. Paged storage: I/O rides the tape
+    // as kPageSeq events priced at replay.
+    per_row_charge_ = ScanRowCharge(
+        ctx->cost_model->params(),
+        ctx->catalog->GetTable(tname).stats.row_width_bytes, filters.size(),
+        paged_ != nullptr);
     if (paged_ != nullptr) {
-      // Paged storage: I/O rides the tape as kPageSeq events priced at
-      // replay; the per-row charge is the pure CPU part (same expression
-      // grouping as the scalar SeqScanOp).
       nrows_ = paged_->num_rows();
-      per_row_charge_ = FixedFromCost(p.cpu_tuple_cost +
-                                      filters.size() * p.cpu_operator_cost);
       st->SetBuffer(paged_->buffer());
       scratch_.resize(static_cast<size_t>(table_->num_columns()) *
                       static_cast<size_t>(paged_->rows_per_page()));
     } else {
       nrows_ = table_->num_rows();
-      per_row_charge_ = FixedFromCost(
-          p.seq_page_cost * info.stats.row_width_bytes / p.page_size_bytes +
-          p.cpu_tuple_cost + filters.size() * p.cpu_operator_cost);
     }
     // Conjunctive predicates on the same column intersect into one range
     // (a BETWEEN pair costs the kernels a single window test). The scalar
@@ -330,30 +313,7 @@ class BatchSeqScanOp : public BatchOp {
     };
     std::vector<ColRange> merged;
     for (const BoundFilter& f : filters) {
-      int64_t lo = INT64_MIN;
-      int64_t hi = INT64_MAX;
-      switch (f.op) {
-        case CompareOp::kLess:
-          // `x < INT64_MIN` is unsatisfiable; guard the decrement overflow.
-          if (f.constant == INT64_MIN) never_match_ = true;
-          else hi = f.constant - 1;
-          break;
-        case CompareOp::kLessEqual:
-          hi = f.constant;
-          break;
-        case CompareOp::kGreater:
-          // `x > INT64_MAX` is unsatisfiable; guard the increment overflow.
-          if (f.constant == INT64_MAX) never_match_ = true;
-          else lo = f.constant + 1;
-          break;
-        case CompareOp::kGreaterEqual:
-          lo = f.constant;
-          break;
-        case CompareOp::kEqual:
-          lo = hi = f.constant;
-          break;
-      }
-      if (never_match_) break;
+      const auto [lo, hi] = exec_internal::FilterRange(f);
       ColRange* cr = nullptr;
       for (ColRange& c : merged) {
         if (c.pos == f.pos) {
@@ -522,19 +482,12 @@ class BatchIndexScanOp : public BatchOp {
     const int64_t nrows =
         paged_ != nullptr ? paged_->num_rows() : table_->num_rows();
     matches_ = ctx->db->sorted_index(tname, qual_col).Range(qual_lo, qual_hi);
-    // Same expressions as the scalar IndexScanOp, rounded the same way. On
-    // paged storage the random page part becomes a kPageRand event per
+    // On paged storage the random page part becomes a kPageRand event per
     // match, priced at replay; the CPU part stays a per-match tape charge.
     const auto& p = ctx->cost_model->params();
-    descent_ = FixedFromCost(p.random_page_cost +
-                             4.0 * p.cpu_operator_cost *
-                                 std::log2(nrows + 2.0));
-    per_match_cpu_ = FixedFromCost(
-        p.cpu_index_tuple_cost + p.cpu_tuple_cost +
-        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
-    per_match_ = FixedFromCost(
-        p.random_page_cost + p.cpu_index_tuple_cost + p.cpu_tuple_cost +
-        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
+    descent_ = IndexDescentCharge(p, nrows);
+    per_match_cpu_ = IndexScanMatchCpuCharge(p, filters_.size());
+    per_match_ = IndexScanMatchCharge(p, filters_.size());
     if (paged_ != nullptr) {
       st->SetBuffer(paged_->buffer());
       row_buf_.resize(table_->num_columns());
@@ -716,8 +669,7 @@ class BatchHashJoinOp : public BatchOp {
   // build would stop at.
   ExecResult Build() {
     const auto& p = st_->ctx()->cost_model->params();
-    const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
-    const FixedCost build_charge = FixedFromCost(hash_op + p.cpu_tuple_cost);
+    const FixedCost build_charge = HashBuildCharge(p);
     const size_t rcols = right_->schema().size();
     bcols_.assign(rcols, {});
     Tape phase(st_->direct());
@@ -740,21 +692,15 @@ class BatchHashJoinOp : public BatchOp {
       build_rows += rbatch_.n;
       if (st == ExecResult::kDone) break;
     }
-    // Multi-batch spill charge — expressions identical to the scalar engine.
+    // Multi-batch spill: the build side's pass now, the probe side's share
+    // on every probe row.
     const size_t row_slots = build_rows > 0 ? rcols : size_t{1};
-    const double build_width = 8.0 * static_cast<double>(row_slots);
-    double probe_spill_charge = 0.0;
-    if (static_cast<double>(build_rows) * build_width > p.work_mem_bytes) {
-      const double build_pages =
-          static_cast<double>(build_rows) * build_width / p.page_size_bytes;
+    if (HashBuildSpills(p, build_rows, row_slots)) {
       Tape t(st_->direct());
-      t.Charge(slot_, FixedFromCost(2.0 * p.seq_page_cost *
-                                    std::max(1.0, build_pages)));
+      t.Charge(slot_, HashSpillCharge(p, build_rows, row_slots));
       if (!st_->Replay(t.events())) return ExecResult::kAborted;
-      probe_spill_charge =
-          2.0 * p.seq_page_cost * build_width / p.page_size_bytes;
     }
-    probe_charge_ = FixedFromCost(hash_op + probe_spill_charge);
+    probe_charge_ = HashProbeCharge(p, build_rows, row_slots);
     // Chain table. Prepending in reverse row order makes each chain yield
     // ascending row indices, i.e. insertion order — the same per-key match
     // order the scalar engine's bucket vectors produce.
@@ -926,23 +872,13 @@ class BatchMergeJoinOp : public BatchOp {
     if (DrainSide(right_.get(), &rcols_, &nr_) == ExecResult::kAborted) {
       return ExecResult::kAborted;
     }
-    const double lw =
-        8.0 * static_cast<double>(nl_ == 0 ? size_t{1} : left_->schema().size());
-    const double rw = 8.0 * static_cast<double>(
-                                nr_ == 0 ? size_t{1} : right_->schema().size());
-    double charge = 0.0;
-    const CostModel* cm = st_->ctx()->cost_model;
-    if (!node_->left_presorted) {
-      charge += cm->SortCost(static_cast<double>(nl_), lw);
-      SortSide(&lcols_, left_key_pos_, nl_);
-    }
-    if (!node_->right_presorted) {
-      charge += cm->SortCost(static_cast<double>(nr_), rw);
-      SortSide(&rcols_, right_key_pos_, nr_);
-    }
-    // The scalar engine charges the (possibly zero) sort total in one call.
+    if (!node_->left_presorted) SortSide(&lcols_, left_key_pos_, nl_);
+    if (!node_->right_presorted) SortSide(&rcols_, right_key_pos_, nr_);
+    // The (possibly zero) sort total is one charge.
     Tape t(st_->direct());
-    t.Charge(slot_, FixedFromCost(charge));
+    t.Charge(slot_, MergeSortCharge(*st_->ctx()->cost_model, *node_, nl_,
+                                    left_->schema().size(), nr_,
+                                    right_->schema().size()));
     return st_->Replay(t.events()) ? ExecResult::kDone : ExecResult::kAborted;
   }
 
@@ -1095,18 +1031,12 @@ class BatchIndexNLJoinOp : public BatchOp {
       inner_buf_.resize(inner_->num_columns());
     }
     lbatch_.Configure(left_->schema().size(), st->direct());
-    // Same expressions as the scalar IndexNLJoinOp, rounded the same way:
-    // paged storage turns the random page part into a kPageRand event.
+    // Paged storage turns the random page part into a kPageRand event.
     const auto& p = ctx->cost_model->params();
-    descent_ = FixedFromCost(p.random_page_cost +
-                             4.0 * p.cpu_operator_cost *
-                                 std::log2(inner_rows + 2.0));
-    per_match_ = FixedFromCost(
-        p.random_page_cost + p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
-    per_match_cpu_ = FixedFromCost(
-        p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
+    const size_t quals = inner_filters_.size() + residual_.size();
+    descent_ = IndexDescentCharge(p, inner_rows);
+    per_match_ = IndexNLMatchCharge(p, quals);
+    per_match_cpu_ = IndexNLMatchCpuCharge(p, quals);
   }
 
   ExecResult NextBatch(ColumnBatch* out) override {
@@ -1451,9 +1381,8 @@ class BatchHashAggregateOp : public BatchOp {
 
  private:
   ExecResult Build() {
-    const auto& p = st_->ctx()->cost_model->params();
-    const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
-    const FixedCost build_charge = FixedFromCost(hash_op + p.cpu_operator_cost);
+    const FixedCost build_charge =
+        AggregateBuildCharge(st_->ctx()->cost_model->params());
     ColumnBatch in;
     in.Configure(child_->schema().size(), st_->direct());
     Tape phase(st_->direct());
@@ -1524,277 +1453,38 @@ class BatchHashAggregateOp : public BatchOp {
   size_t emit_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Builder — mirrors the scalar Build() in operators.cc line for line; any
-// divergence here would bind predicates to different positions and break
-// charge-sequence equivalence.
-// ---------------------------------------------------------------------------
+// The batch engine's operator classes, for the one binder (binding.h).
+struct BatchEngine {
+  using Op = BatchOp;
+  using State = BatchExecState;
+  static const ExecContext* Context(BatchExecState* st) { return st->ctx(); }
+  using SeqScan = BatchSeqScanOp;
+  using IndexScan = BatchIndexScanOp;
+  using HashJoin = BatchHashJoinOp;
+  using MergeJoin = BatchMergeJoinOp;
+  using IndexNLJoin = BatchIndexNLJoinOp;
+  using MaterialNLJoin = BatchMaterialNLJoinOp;
+  using HashAggregate = BatchHashAggregateOp;
+};
 
-Result<std::unique_ptr<BatchOp>> BuildBatch(const PlanNode& node,
-                                            BatchExecState* state) {
-  ExecContext* ctx = state->ctx();
-  const QuerySpec& q = *ctx->query;
+}  // namespace
 
-  if (node.is_aggregate()) {
-    auto child_res = BuildBatch(*node.left, state);
-    if (!child_res.ok()) return child_res.status();
-    std::unique_ptr<BatchOp> child = std::move(child_res.value());
-    const AggregateSpec& spec = q.aggregate;
-    std::vector<int> group_positions;
-    for (const auto& [table, column] : spec.group_by) {
-      const int t = q.TableIndex(table);
-      const int c = ctx->db->table(q.tables[t]).ColumnIndex(column);
-      const int pos = child->FindColumn(t, c);
-      if (pos < 0) return Status::Internal("group-by column not in input");
-      group_positions.push_back(pos);
-    }
-    int agg_position = -1;
-    if (spec.func != AggregateSpec::Func::kCount) {
-      const int t = q.TableIndex(spec.agg_table);
-      const int c = ctx->db->table(q.tables[t]).ColumnIndex(spec.agg_column);
-      agg_position = child->FindColumn(t, c);
-      if (agg_position < 0) {
-        return Status::Internal("aggregate column not in input");
-      }
-    }
-    return std::unique_ptr<BatchOp>(std::make_unique<BatchHashAggregateOp>(
-        &node, state, std::move(child), std::move(group_positions),
-        agg_position, spec.func));
-  }
-
-  if (node.is_scan()) {
-    const std::string& tname = q.tables[node.table_idx];
-    const DataTable& dt = ctx->db->table(tname);
-    std::vector<BoundFilter> filters;
-    for (int f : node.filter_idxs) {
-      const auto& pred = q.filters[f];
-      if (!pred.has_constant()) {
-        return Status::FailedPrecondition(
-            "cannot execute abstract predicate without constant: " +
-            pred.table + "." + pred.column);
-      }
-      const int col = dt.ColumnIndex(pred.column);
-      if (col < 0) return Status::NotFound("column missing in data table");
-      filters.push_back({col, pred.op, pred.constant});
-    }
-    if (node.op == OpType::kIndexScan && node.index_filter >= 0) {
-      const auto& pred = q.filters[node.index_filter];
-      int64_t lo, hi;
-      Status s = FilterToRange(pred, &lo, &hi);
-      if (!s.ok()) return s;
-      const int col = dt.ColumnIndex(pred.column);
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchIndexScanOp>(
-          &node, state, std::move(filters), lo, hi, col));
-    }
-    return std::unique_ptr<BatchOp>(
-        std::make_unique<BatchSeqScanOp>(&node, state, std::move(filters)));
-  }
-
-  // Joins: build the outer child first.
-  auto left_res = BuildBatch(*node.left, state);
-  if (!left_res.ok()) return left_res.status();
-  std::unique_ptr<BatchOp> left = std::move(left_res.value());
-
-  if (node.op == OpType::kIndexNLJoin) {
-    assert(node.index_join >= 0);
-    const auto& jp = q.joins[node.index_join];
-    const int inner_table = node.right->table_idx;
-    const DataTable& inner_dt = ctx->db->table(q.tables[inner_table]);
-    const bool inner_is_left = q.TableIndex(jp.left_table) == inner_table;
-    const std::string& inner_col_name =
-        inner_is_left ? jp.left_column : jp.right_column;
-    const std::string& outer_col_name =
-        inner_is_left ? jp.right_column : jp.left_column;
-    const int outer_table = inner_is_left ? q.TableIndex(jp.right_table)
-                                          : q.TableIndex(jp.left_table);
-    const int inner_key_col = inner_dt.ColumnIndex(inner_col_name);
-    const int outer_key_pos = left->FindColumn(
-        outer_table,
-        ctx->db->table(q.tables[outer_table]).ColumnIndex(outer_col_name));
-    if (inner_key_col < 0 || outer_key_pos < 0) {
-      return Status::Internal("index NL join key binding failed");
-    }
-    std::vector<BoundFilter> inner_filters;
-    for (int f : node.right->filter_idxs) {
-      const auto& pred = q.filters[f];
-      if (!pred.has_constant()) {
-        return Status::FailedPrecondition(
-            "cannot execute abstract predicate without constant: " +
-            pred.table + "." + pred.column);
-      }
-      const int col = inner_dt.ColumnIndex(pred.column);
-      if (col < 0) {
-        return Status::NotFound("column missing in data table: " + pred.table +
-                                "." + pred.column);
-      }
-      inner_filters.push_back({col, pred.op, pred.constant});
-    }
-    std::vector<BoundEquality> residual;
-    const size_t left_width = left->schema().size();
-    for (int j : node.join_idxs) {
-      if (j == node.index_join) continue;
-      const auto& rp = q.joins[j];
-      const int lt = q.TableIndex(rp.left_table);
-      const int rt = q.TableIndex(rp.right_table);
-      const int lcol = ctx->db->table(q.tables[lt]).ColumnIndex(rp.left_column);
-      const int rcol =
-          ctx->db->table(q.tables[rt]).ColumnIndex(rp.right_column);
-      int pos_a = left->FindColumn(lt, lcol);
-      int pos_b = left->FindColumn(rt, rcol);
-      if (pos_a < 0) pos_a = static_cast<int>(left_width) + lcol;  // inner side
-      if (pos_b < 0) pos_b = static_cast<int>(left_width) + rcol;
-      residual.push_back({pos_a, pos_b});
-    }
-    return std::unique_ptr<BatchOp>(std::make_unique<BatchIndexNLJoinOp>(
-        &node, state, std::move(left), inner_table, inner_key_col,
-        outer_key_pos, std::move(inner_filters), std::move(residual)));
-  }
-
-  auto right_res = BuildBatch(*node.right, state);
-  if (!right_res.ok()) return right_res.status();
-  std::unique_ptr<BatchOp> right = std::move(right_res.value());
-
-  const size_t left_width = left->schema().size();
-  auto bind_side = [&](const std::string& table, const std::string& column,
-                       int* pos) -> bool {
-    const int t = q.TableIndex(table);
-    const int c = ctx->db->table(q.tables[t]).ColumnIndex(column);
-    int p = left->FindColumn(t, c);
-    if (p >= 0) {
-      *pos = p;
-      return true;
-    }
-    p = right->FindColumn(t, c);
-    if (p >= 0) {
-      *pos = static_cast<int>(left_width) + p;
-      return false;
-    }
-    *pos = -1;
-    return false;
-  };
-
-  std::vector<BoundEquality> all_conditions;
-  int left_key_pos = -1;
-  int right_key_pos = -1;
-  for (size_t i = 0; i < node.join_idxs.size(); ++i) {
-    const auto& jp = q.joins[node.join_idxs[i]];
-    int pos_l, pos_r;
-    bind_side(jp.left_table, jp.left_column, &pos_l);
-    bind_side(jp.right_table, jp.right_column, &pos_r);
-    if (pos_l < 0 || pos_r < 0) {
-      return Status::Internal("join predicate binding failed");
-    }
-    if (i == 0) {
-      const int a = std::min(pos_l, pos_r);
-      const int b = std::max(pos_l, pos_r);
-      if (a >= static_cast<int>(left_width) ||
-          b < static_cast<int>(left_width)) {
-        return Status::Internal("join key not crossing children");
-      }
-      left_key_pos = a;
-      right_key_pos = b - static_cast<int>(left_width);
-    } else {
-      all_conditions.push_back({pos_l, pos_r});
-    }
-  }
-
-  switch (node.op) {
-    case OpType::kHashJoin:
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchHashJoinOp>(
-          &node, state, std::move(left), std::move(right), left_key_pos,
-          right_key_pos, std::move(all_conditions)));
-    case OpType::kMergeJoin:
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchMergeJoinOp>(
-          &node, state, std::move(left), std::move(right), left_key_pos,
-          right_key_pos, std::move(all_conditions)));
-    case OpType::kMaterialNLJoin: {
-      std::vector<BoundEquality> conds = std::move(all_conditions);
-      conds.push_back(
-          {left_key_pos, right_key_pos + static_cast<int>(left_width)});
-      return std::unique_ptr<BatchOp>(std::make_unique<BatchMaterialNLJoinOp>(
-          &node, state, std::move(left), std::move(right), std::move(conds)));
-    }
-    default:
-      return Status::Internal("unsupported join operator in builder");
-  }
+Result<std::unique_ptr<BatchOp>> BuildBatchExecutor(const PlanNode& root,
+                                                    BatchExecState* state) {
+  const ExecContext* ctx = state->ctx();
+  assert(ctx->query && ctx->db && ctx->catalog && ctx->cost_model);
+  (void)ctx;
+  return exec_internal::BindPlan<BatchEngine>(root, state);
 }
 
-// ---------------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------------
-
-ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
-                              double budget, std::vector<Row>* results,
-                              bool spilled) {
-  ctx->meter.Reset();
-  ctx->meter.set_budget(budget);
-  ctx->instr.Reset();
-  ctx->page_reads_charged = 0;
-  ctx->page_hits_charged = 0;
-
-  // Observability mirrors the scalar RunTree: one "exec.plan" span per
-  // (partial) execution, one "exec.node" child per finished operator.
-  obs::Span exec_span;
-  if (ctx->tracer != nullptr) {
-    exec_span = obs::Tracer::BeginUnder(ctx->tracer, "exec.plan",
-                                        ctx->trace_parent, ctx->trace_id);
-    ctx->instr.EnableTiming(true);
-    obs::Tracer* tracer = ctx->tracer;
-    const uint64_t parent = exec_span.id();
-    const uint64_t trace = exec_span.trace_id();
-    ctx->instr.SetFinishHook(
-        [tracer, parent, trace](const PlanNode* node,
-                                const NodeCounters& nc) {
-          obs::Span s =
-              obs::Tracer::BeginUnder(tracer, "exec.node", parent, trace);
-          s.Num("op", static_cast<double>(static_cast<int>(node->op)))
-              .Num("tuples_out", static_cast<double>(nc.tuples_out))
-              .Num("tuples_scanned", static_cast<double>(nc.tuples_scanned))
-              .Num("node_wall_seconds", nc.wall_seconds);
-          s.End();
-        });
-  } else {
-    ctx->instr.EnableTiming(false);
-    ctx->instr.SetFinishHook(nullptr);
-  }
-
-  ExecutionOutcome out;
-  BatchExecState state(ctx);
-  auto built = BuildBatch(root, &state);
-  if (!built.ok()) {
-    out.status = ExecResult::kAborted;
-    out.build_failed = true;
-    out.build_status = built.status();
-    if (exec_span.enabled()) {
-      exec_span.Flag("build_failed", true)
-          .Str("signature", PlanSignature(root));
-      exec_span.End();
-    }
-    return out;
-  }
-  BatchOp* op = built.value().get();
+ExecResult DrainBatchOperator(BatchOp* op, BatchExecState* state,
+                              const RowSink& sink, int64_t* emitted) {
+  obs::Histogram* const batch_rows = state->ctx()->batch_rows;
   const uint16_t root_slot = op->slot();
   const size_t ncols = op->schema().size();
-  obs::Histogram* fill_hist =
-      ctx->metrics != nullptr
-          ? ctx->metrics->GetHistogram(
-                "bouquet_exec_batch_rows",
-                "Rows per batch produced at the executor root",
-                obs::BatchSizeBuckets())
-          : nullptr;
-
-  storage::StorageManager* sm =
-      ctx->db != nullptr ? ctx->db->storage() : nullptr;
-  std::unique_ptr<storage::SpillWriter> spill;
-  if (spilled && sm != nullptr) {
-    // Mirror the scalar engine: spilled output is jettisoned from the
-    // accounting but physically lands in temp pages through the pool.
-    spill = std::make_unique<storage::SpillWriter>(sm, ncols);
-  }
-
   ColumnBatch batch;
-  batch.Configure(ncols, state.direct());
-  int64_t emitted = 0;
+  batch.Configure(ncols, state->direct());
+  int64_t count = 0;
   ExecResult status = ExecResult::kDone;
   for (;;) {
     batch.Reset();
@@ -1804,29 +1494,25 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
       break;
     }
     int64_t root_emits = 0;
-    const bool ok = state.Replay(batch.tape.events(), root_slot, &root_emits);
+    const bool ok = state->Replay(batch.tape.events(), root_slot, &root_emits);
     // Unbudgeted, the root's emit charges never reach the tape; every row
     // of the batch exists.
-    const int64_t ok_rows = state.direct() != nullptr ? batch.n : root_emits;
+    const int64_t ok_rows = state->direct() != nullptr ? batch.n : root_emits;
     if (batch.n > 0) {
-      state.batches_produced++;
-      state.rows_produced += batch.n;
-      if (fill_hist != nullptr) {
-        fill_hist->Observe(static_cast<double>(batch.n));
+      state->batches_produced++;
+      state->rows_produced += batch.n;
+      if (batch_rows != nullptr) {
+        batch_rows->Observe(static_cast<double>(batch.n));
       }
     }
     // Rows whose emit charge did not complete before the abort are data the
     // scalar engine would never have produced; truncate them.
-    emitted += ok_rows;
-    if (results != nullptr || (spill != nullptr && spill->ok())) {
+    count += ok_rows;
+    if (sink.keeps()) {
       Row r(ncols);
       for (int64_t i = 0; i < ok_rows; ++i) {
         for (size_t c = 0; c < ncols; ++c) r[c] = batch.cols[c][i];
-        if (spill != nullptr) {
-          if (spill->ok()) spill->Append(r);
-        } else {
-          results->push_back(r);
-        }
+        sink.Put(r);
       }
     }
     if (!ok) {
@@ -1835,53 +1521,9 @@ ExecutionOutcome RunTreeBatch(const PlanNode& root, ExecContext* ctx,
     }
     if (st == ExecResult::kDone) break;
   }
-
-  state.SettleDirect();
-  out.status = status;
-  out.rows_emitted = emitted;
-  out.cost_charged = CostFromFixed(ctx->meter.charged());
-  out.page_reads = ctx->page_reads_charged;
-  out.page_hits = ctx->page_hits_charged;
-  out.tape_events = state.tape_events();
-  if (exec_span.enabled()) {
-    obs::Span bspan = obs::Tracer::BeginUnder(ctx->tracer, "exec.batch",
-                                              exec_span.id(),
-                                              exec_span.trace_id());
-    bspan.Num("batch_size", static_cast<double>(ctx->batch_size))
-        .Num("batches", static_cast<double>(state.batches_produced))
-        .Num("batch_rows", static_cast<double>(state.rows_produced));
-    bspan.End();
-    exec_span.Num("budget", budget)
-        .Num("charged", out.cost_charged)
-        .Num("rows", static_cast<double>(out.rows_emitted))
-        .Num("page_reads", static_cast<double>(out.page_reads))
-        .Num("page_hits", static_cast<double>(out.page_hits))
-        .Flag("completed", out.status == ExecResult::kDone)
-        .Flag("spilled", spilled);
-    exec_span.End();
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<std::unique_ptr<BatchOp>> BuildBatchExecutor(const PlanNode& root,
-                                                    BatchExecState* state) {
-  ExecContext* ctx = state->ctx();
-  assert(ctx->query && ctx->db && ctx->catalog && ctx->cost_model);
-  (void)ctx;
-  return BuildBatch(root, state);
-}
-
-ExecutionOutcome ExecutePlanBatch(const PlanNode& root, ExecContext* ctx,
-                                  double budget, std::vector<Row>* results) {
-  return RunTreeBatch(root, ctx, budget, results, /*spilled=*/false);
-}
-
-ExecutionOutcome ExecuteSpilledBatch(const PlanNode& subtree_root,
-                                     ExecContext* ctx, double budget) {
-  return RunTreeBatch(subtree_root, ctx, budget, /*results=*/nullptr,
-                      /*spilled=*/true);
+  state->SettleDirect();
+  *emitted = count;
+  return status;
 }
 
 }  // namespace bouquet

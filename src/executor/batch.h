@@ -41,8 +41,8 @@
 #include <memory>
 #include <vector>
 
-#include "executor/builder.h"
 #include "executor/exec_context.h"
+#include "executor/operators.h"
 #include "optimizer/plan.h"
 
 namespace bouquet {
@@ -227,8 +227,8 @@ struct ColumnBatch {
 /// cached counter pointers, the abort latch, the tape replayer, and an
 /// unbudgeted execution's charge totals. Create one per execution, after
 /// resetting the context's meter/instrumentation and setting the budget
-/// (the entry points below do this; the registry caches NodeCounters
-/// pointers, so it must not outlive an Instrumentation::Reset).
+/// (ExecutePlanWith does this; the registry caches NodeCounters pointers,
+/// so it must not outlive an Instrumentation::Reset).
 class BatchExecState {
  public:
   explicit BatchExecState(ExecContext* ctx)
@@ -324,7 +324,6 @@ class BatchOp {
 
   const std::vector<SchemaCol>& schema() const { return schema_; }
   uint16_t slot() const { return slot_; }
-  int FindColumn(int table_idx, int col_idx) const;
 
  protected:
   BatchOp(const PlanNode* node, BatchExecState* st)
@@ -341,25 +340,21 @@ class BatchOp {
   bool touched_ = false;
 };
 
-/// Builds a batch operator tree over `state` (which must outlive the tree).
-/// Binding rules are shared with the scalar builder (executor/binding.h);
-/// failure conditions are identical. With an unbounded meter the tree adds
-/// its charges to `state->direct()`; call state->SettleDirect() once it is
-/// drained.
+/// Builds a batch operator tree over `state` (which must outlive the tree)
+/// through the binder both engines share (executor/binding.h), so it binds
+/// and fails exactly as BuildExecutor does. With an unbounded meter the
+/// tree adds its charges to `state->direct()`; call state->SettleDirect()
+/// once it is drained.
 Result<std::unique_ptr<BatchOp>> BuildBatchExecutor(const PlanNode& root,
                                                     BatchExecState* state);
 
-/// Batch-engine equivalents of ExecutePlan/ExecuteSpilled: same outcome
-/// semantics, same meter/instrumentation side effects (bit-identical
-/// `cost_charged`, abort points, and per-node counters), same "exec.plan" /
-/// "exec.node" spans plus one "exec.batch" child span summarizing batch
-/// shape, and a `bouquet_exec_batch_rows` histogram when ctx->metrics is
-/// set.
-ExecutionOutcome ExecutePlanBatch(const PlanNode& root, ExecContext* ctx,
-                                  double budget,
-                                  std::vector<Row>* results = nullptr);
-ExecutionOutcome ExecuteSpilledBatch(const PlanNode& subtree_root,
-                                     ExecContext* ctx, double budget);
+/// The batch engine's drain loop: pulls root batches, replays each one's
+/// tape, hands `sink` the rows whose emit charge landed before any abort,
+/// observes ctx->batch_rows per batch, and settles an unbudgeted
+/// execution's totals at the end. Returns kDone or kAborted; row count is
+/// in *emitted. ExecutePlanWith(ExecEngine::kBatch, ...) runs it.
+ExecResult DrainBatchOperator(BatchOp* op, BatchExecState* state,
+                              const RowSink& sink, int64_t* emitted);
 
 }  // namespace bouquet
 

@@ -1,5 +1,8 @@
 #include "executor/builder.h"
 
+#include <memory>
+#include <optional>
+
 #include "executor/batch.h"
 #include "optimizer/plan_signature.h"
 #include "storage/paged_table.h"
@@ -8,9 +11,50 @@ namespace bouquet {
 
 namespace {
 
-ExecutionOutcome RunTree(const PlanNode& root, ExecContext* ctx,
-                         double budget, std::vector<Row>* results,
-                         bool spilled) {
+// An engine's part of one execution: it builds the operator tree and
+// drains it. RunFrame below does everything else, for both engines.
+struct ScalarRun {
+  explicit ScalarRun(ExecContext* ctx) : ctx(ctx) {}
+  Result<std::unique_ptr<Operator>> Build(const PlanNode& root) {
+    return BuildExecutor(root, ctx);
+  }
+  ExecResult Drain(Operator* op, const RowSink& sink, ExecutionOutcome* out) {
+    return DrainOperator(op, sink, &out->rows_emitted);
+  }
+  void Trace(const obs::Span&) {}
+
+  ExecContext* ctx;
+};
+
+struct BatchRun {
+  explicit BatchRun(ExecContext* ctx) : state(ctx) {}
+  Result<std::unique_ptr<BatchOp>> Build(const PlanNode& root) {
+    return BuildBatchExecutor(root, &state);
+  }
+  ExecResult Drain(BatchOp* op, const RowSink& sink, ExecutionOutcome* out) {
+    const ExecResult st =
+        DrainBatchOperator(op, &state, sink, &out->rows_emitted);
+    out->tape_events = state.tape_events();
+    return st;
+  }
+  // One "exec.batch" child span summarizing the batch shape.
+  void Trace(const obs::Span& exec_span) {
+    obs::Span s = obs::Tracer::BeginUnder(state.ctx()->tracer, "exec.batch",
+                                          exec_span.id(),
+                                          exec_span.trace_id());
+    s.Num("batch_size", static_cast<double>(state.ctx()->batch_size))
+        .Num("batches", static_cast<double>(state.batches_produced))
+        .Num("batch_rows", static_cast<double>(state.rows_produced));
+    s.End();
+  }
+
+  BatchExecState state;
+};
+
+template <class Run>
+ExecutionOutcome RunFrame(const PlanNode& root, ExecContext* ctx,
+                          double budget, std::vector<Row>* results,
+                          bool spilled) {
   ctx->meter.Reset();
   ctx->meter.set_budget(budget);
   ctx->instr.Reset();
@@ -46,7 +90,8 @@ ExecutionOutcome RunTree(const PlanNode& root, ExecContext* ctx,
   }
 
   ExecutionOutcome out;
-  auto built = BuildExecutor(root, ctx);
+  Run run(ctx);  // after the resets: a batch tree caches node counters
+  auto built = run.Build(root);
   if (!built.ok()) {
     out.status = ExecResult::kAborted;
     out.build_failed = true;
@@ -58,29 +103,22 @@ ExecutionOutcome RunTree(const PlanNode& root, ExecContext* ctx,
     }
     return out;
   }
+  // Spill-mode subtree output is jettisoned from the accounting's point of
+  // view, but on paged storage it physically materializes into temp pages
+  // through the same buffer pool; the writer drops the segment when it dies.
   storage::StorageManager* sm =
       ctx->db != nullptr ? ctx->db->storage() : nullptr;
-  if (spilled && sm != nullptr) {
-    // Spill-mode subtree output is jettisoned from the accounting's point
-    // of view, but it physically materializes into temp pages through the
-    // same buffer pool — the writer drops the segment when it dies.
-    storage::SpillWriter spill(sm, built->get()->schema().size());
-    int64_t count = 0;
-    Row r;
-    ExecResult st;
-    while ((st = (*built)->Next(&r)) == ExecResult::kRow) {
-      ++count;
-      if (spill.ok()) spill.Append(r);
-    }
-    out.rows_emitted = count;
-    out.status = st;
-  } else {
-    out.status = DrainOperator(built->get(), results, &out.rows_emitted);
-  }
+  std::optional<storage::SpillWriter> spill;
+  if (spilled && sm != nullptr) spill.emplace(sm, (*built)->schema().size());
+  out.status =
+      run.Drain(built->get(),
+                RowSink{spilled ? nullptr : results, spill ? &*spill : nullptr},
+                &out);
   out.cost_charged = CostFromFixed(ctx->meter.charged());
   out.page_reads = ctx->page_reads_charged;
   out.page_hits = ctx->page_hits_charged;
   if (exec_span.enabled()) {
+    run.Trace(exec_span);
     exec_span.Num("budget", budget)
         .Num("charged", out.cost_charged)
         .Num("rows", static_cast<double>(out.rows_emitted))
@@ -93,33 +131,37 @@ ExecutionOutcome RunTree(const PlanNode& root, ExecContext* ctx,
   return out;
 }
 
+ExecutionOutcome Execute(ExecEngine engine, const PlanNode& root,
+                         ExecContext* ctx, double budget,
+                         std::vector<Row>* results, bool spilled) {
+  return engine == ExecEngine::kBatch
+             ? RunFrame<BatchRun>(root, ctx, budget, results, spilled)
+             : RunFrame<ScalarRun>(root, ctx, budget, results, spilled);
+}
+
 }  // namespace
-
-ExecutionOutcome ExecutePlan(const PlanNode& root, ExecContext* ctx,
-                             double budget, std::vector<Row>* results) {
-  return RunTree(root, ctx, budget, results, /*spilled=*/false);
-}
-
-ExecutionOutcome ExecuteSpilled(const PlanNode& subtree_root,
-                                ExecContext* ctx, double budget) {
-  return RunTree(subtree_root, ctx, budget, /*results=*/nullptr,
-                 /*spilled=*/true);
-}
 
 ExecutionOutcome ExecutePlanWith(ExecEngine engine, const PlanNode& root,
                                  ExecContext* ctx, double budget,
                                  std::vector<Row>* results) {
-  return engine == ExecEngine::kBatch
-             ? ExecutePlanBatch(root, ctx, budget, results)
-             : ExecutePlan(root, ctx, budget, results);
+  return Execute(engine, root, ctx, budget, results, /*spilled=*/false);
 }
 
 ExecutionOutcome ExecuteSpilledWith(ExecEngine engine,
                                     const PlanNode& subtree_root,
                                     ExecContext* ctx, double budget) {
-  return engine == ExecEngine::kBatch
-             ? ExecuteSpilledBatch(subtree_root, ctx, budget)
-             : ExecuteSpilled(subtree_root, ctx, budget);
+  return Execute(engine, subtree_root, ctx, budget, /*results=*/nullptr,
+                 /*spilled=*/true);
+}
+
+ExecutionOutcome ExecutePlan(const PlanNode& root, ExecContext* ctx,
+                             double budget, std::vector<Row>* results) {
+  return ExecutePlanWith(ExecEngine::kScalar, root, ctx, budget, results);
+}
+
+ExecutionOutcome ExecuteSpilled(const PlanNode& subtree_root,
+                                ExecContext* ctx, double budget) {
+  return ExecuteSpilledWith(ExecEngine::kScalar, subtree_root, ctx, budget);
 }
 
 }  // namespace bouquet

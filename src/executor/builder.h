@@ -1,5 +1,8 @@
-// High-level execution entry points over the operator tree builder:
-// budget-limited full-plan execution and spilled subtree execution.
+// High-level execution entry points over either engine: budget-limited
+// full-plan execution and spilled subtree execution. builder.cc holds the
+// one execution frame (meter and instrumentation reset, spans, build
+// failure, spill writer, outcome); an engine supplies its operator tree,
+// its drain loop and any span of its own.
 //
 // "Spilled" execution (Section 5.3 of the paper) runs only the subtree up to
 // and including the first error-prone node and discards its output, so the
@@ -36,35 +39,40 @@ struct ExecutionOutcome {
   Status build_status;
 };
 
-/// Executes the full plan with the given cost budget. Result rows are
-/// appended to *results when non-null. Resets the context's meter and
-/// instrumentation first (a fresh partial execution; prior intermediate
-/// results are "jettisoned" per the basic bouquet contract).
-ExecutionOutcome ExecutePlan(const PlanNode& root, ExecContext* ctx,
-                             double budget,
-                             std::vector<Row>* results = nullptr);
-
-/// Executes only the given subtree (spill mode), discarding its output.
-/// The budget covers the subtree alone.
-ExecutionOutcome ExecuteSpilled(const PlanNode& subtree_root, ExecContext* ctx,
-                                double budget);
-
-/// Which execution engine runs a plan. Both engines are bit-compatible in
-/// cost accounting (identical `cost_charged`, abort points, and per-node
+/// Which execution engine runs a plan. Both are bit-compatible in cost
+/// accounting (identical `cost_charged`, abort points, and per-node
 /// counters for the same plan/budget — see batch.h and the differential
-/// harness in src/testing), so the choice is purely a throughput knob.
+/// harness in src/testing). The batch engine is the one the driver runs;
+/// the scalar engine is the oracle that tests and benches check it against.
 enum class ExecEngine {
   kScalar,  ///< tuple-at-a-time Volcano iterators (operators.h)
   kBatch,   ///< vectorized column batches with charge replay (batch.h)
 };
 
-/// Engine-dispatching variants of ExecutePlan/ExecuteSpilled.
+/// Executes the full plan with the given cost budget on `engine`. Result
+/// rows are appended to *results when non-null. Resets the context's meter
+/// and instrumentation first (a fresh partial execution; prior intermediate
+/// results are "jettisoned" per the basic bouquet contract). When
+/// ctx->tracer is set, emits an "exec.plan" span, one "exec.node" child per
+/// finished operator and, on the batch engine, one "exec.batch" child
+/// summarizing the batch shape.
 ExecutionOutcome ExecutePlanWith(ExecEngine engine, const PlanNode& root,
                                  ExecContext* ctx, double budget,
                                  std::vector<Row>* results = nullptr);
+
+/// Executes only the given subtree (spill mode) on `engine`: its output is
+/// written to spill pages on paged storage and otherwise discarded. The
+/// budget covers the subtree alone.
 ExecutionOutcome ExecuteSpilledWith(ExecEngine engine,
                                     const PlanNode& subtree_root,
                                     ExecContext* ctx, double budget);
+
+/// ExecutePlanWith and ExecuteSpilledWith on the scalar oracle.
+ExecutionOutcome ExecutePlan(const PlanNode& root, ExecContext* ctx,
+                             double budget,
+                             std::vector<Row>* results = nullptr);
+ExecutionOutcome ExecuteSpilled(const PlanNode& subtree_root, ExecContext* ctx,
+                                double budget);
 
 }  // namespace bouquet
 

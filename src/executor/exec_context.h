@@ -6,9 +6,10 @@
 // with the isocost contours computed at compile time.
 //
 // Charged cost is fixed point: a FixedCost counts quanta of 2^-30 cost
-// units in an int64_t, which leaves about 8.6e9 units of headroom. An
-// operator rounds each charge unit once, where it computes it
-// (FixedFromCost), and budgets round down once when the meter takes them.
+// units in an int64_t, which leaves about 8.6e9 units of headroom. Each
+// charge unit is rounded once, where it is computed (FixedFromCost, in
+// FixedPrices below and in charge_units.h), and budgets round down once
+// when the meter takes them.
 // From there every sum is exact integer arithmetic, so it does not depend
 // on the order of the adds: the scalar engine and the batch engine's tape
 // replay agree bit for bit however they group their charges, and an
@@ -83,7 +84,7 @@ inline FixedCost SatMul(FixedCost unit, int64_t count) {
 
 /// The single-parameter charge units both engines price, each rounded once.
 /// A charge computed from several parameters (a scan's per-row charge, say)
-/// rounds its double sum instead, the same way in both engines.
+/// rounds its double sum once, in its function in charge_units.h.
 struct FixedPrices {
   explicit FixedPrices(const CostParams& p)
       : tuple(FixedFromCost(p.cpu_tuple_cost)),
@@ -138,14 +139,15 @@ struct ExecContext {
   CostMeter meter;
   Instrumentation instr;
   /// Optional observability sink (null = tracing off, zero overhead).
-  /// When set, ExecutePlan/ExecuteSpilled emit an "exec.plan" span under
+  /// When set, every execution emits an "exec.plan" span under
   /// (trace_parent, trace_id) and every finished operator node becomes an
   /// "exec.node" child span via the instrumentation finish hook.
   obs::Tracer* tracer = nullptr;
   uint64_t trace_parent = 0;
   uint64_t trace_id = 0;
-  /// Optional metrics registry (batch engine only): batch-size histograms.
-  obs::MetricsRegistry* metrics = nullptr;
+  /// Optional histogram of rows per root batch (batch engine only; null =
+  /// off), resolved once by the caller: `bouquet_exec_batch_rows`.
+  obs::Histogram* batch_rows = nullptr;
   /// Batch engine: rows per column batch. Any value >= 1 is legal (the
   /// differential harness runs degenerate sizes like 1 and 3); cost
   /// accounting is independent of the choice by construction.

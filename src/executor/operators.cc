@@ -2,21 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <unordered_map>
 
-#include "common/str_util.h"
 #include "executor/binding.h"
+#include "executor/charge_units.h"
+#include "storage/paged_table.h"
 
 namespace bouquet {
 
-int Operator::FindColumn(int table_idx, int col_idx) const {
-  for (size_t i = 0; i < schema_.size(); ++i) {
-    if (schema_[i].table_idx == table_idx && schema_[i].col_idx == col_idx) {
-      return static_cast<int>(i);
-    }
+bool RowSink::keeps() const {
+  return rows != nullptr || (spill != nullptr && spill->ok());
+}
+
+void RowSink::Put(const Row& row) const {
+  if (spill != nullptr) {
+    if (spill->ok()) spill->Append(row);
+  } else if (rows != nullptr) {
+    rows->push_back(row);
   }
-  return -1;
 }
 
 namespace {
@@ -24,7 +27,6 @@ namespace {
 using exec_internal::BoundEquality;
 using exec_internal::BoundFilter;
 using exec_internal::EvalAll;
-using exec_internal::FilterToRange;
 
 // ---------------------------------------------------------------------------
 // Sequential scan
@@ -41,21 +43,13 @@ class SeqScanOp : public Operator {
     const std::string& tname = ctx->query->tables[node->table_idx];
     table_ = &ctx->db->table(tname);
     paged_ = ctx->db->paged(tname);
-    const TableInfo& info = ctx->catalog->GetTable(tname);
-    const auto& p = ctx->cost_model->params();
-    if (paged_ != nullptr) {
-      // Paged storage: I/O is charged per *actual* page access (hit vs miss
-      // against the buffer pool), not amortized per row, so the per-row
-      // charge is the pure CPU part.
-      nrows_ = paged_->num_rows();
-      per_row_charge_ = FixedFromCost(p.cpu_tuple_cost +
-                                      filters_.size() * p.cpu_operator_cost);
-    } else {
-      nrows_ = table_->num_rows();
-      per_row_charge_ = FixedFromCost(
-          p.seq_page_cost * info.stats.row_width_bytes / p.page_size_bytes +
-          p.cpu_tuple_cost + filters_.size() * p.cpu_operator_cost);
-    }
+    // Paged storage: I/O is charged per *actual* page access (hit vs miss
+    // against the buffer pool), not amortized per row.
+    nrows_ = paged_ != nullptr ? paged_->num_rows() : table_->num_rows();
+    per_row_charge_ = ScanRowCharge(
+        ctx->cost_model->params(),
+        ctx->catalog->GetTable(tname).stats.row_width_bytes, filters_.size(),
+        paged_ != nullptr);
     for (int c = 0; c < table_->num_columns(); ++c) {
       schema_.push_back({node->table_idx, c});
     }
@@ -154,21 +148,13 @@ class IndexScanOp : public Operator {
       schema_.push_back({node->table_idx, c});
     }
     row_buf_.resize(table_->num_columns());
-    // Uncorrelated heap order: one random page access per match. On paged
-    // storage the page part is priced by the buffer pool (hit vs miss) as
-    // its own meter add; in memory it stays folded into the flat per-match
-    // charge (the batch engine rounds the same expressions — keep them in
-    // sync).
+    // On paged storage the buffer pool prices each match's page (hit vs
+    // miss) as its own meter add; in memory it stays folded into the flat
+    // per-match charge.
     const auto& p = ctx->cost_model->params();
-    descent_ = FixedFromCost(p.random_page_cost +
-                             4.0 * p.cpu_operator_cost *
-                                 std::log2(nrows + 2.0));
-    per_match_cpu_ = FixedFromCost(
-        p.cpu_index_tuple_cost + p.cpu_tuple_cost +
-        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
-    per_match_ = FixedFromCost(
-        p.random_page_cost + p.cpu_index_tuple_cost + p.cpu_tuple_cost +
-        (filters_.size() > 0 ? filters_.size() - 1 : 0) * p.cpu_operator_cost);
+    descent_ = IndexDescentCharge(p, nrows);
+    per_match_cpu_ = IndexScanMatchCpuCharge(p, filters_.size());
+    per_match_ = IndexScanMatchCharge(p, filters_.size());
   }
 
   ExecResult Next(Row* out) override {
@@ -274,11 +260,10 @@ class HashJoinOp : public Operator {
     // moving any counter.
     if (ctx_->meter.exhausted()) return ExecResult::kAborted;
     NodeCounters& nc = ctx_->instr.ForNode(node_);
-    const auto& p = ctx_->cost_model->params();
-    const double hash_op = p.hash_op_factor * p.cpu_operator_cost;
 
     if (!built_) {
-      const FixedCost build_charge = FixedFromCost(hash_op + p.cpu_tuple_cost);
+      const auto& p = ctx_->cost_model->params();
+      const FixedCost build_charge = HashBuildCharge(p);
       Row r;
       int64_t build_rows = 0;
       size_t row_slots = 1;
@@ -291,23 +276,13 @@ class HashJoinOp : public Operator {
         row_slots = r.size();
         table_[r[right_key_pos_]].push_back(r);
       }
-      // Multi-batch spill: when the build side exceeds work_mem the cost
-      // model prices one extra write+read pass over both sides; charge the
-      // build side now and amortize the probe side per row below (widths
-      // approximated by 8B per slot, as in the merge-join sort charge).
-      const double build_width = 8.0 * double(row_slots);
-      double probe_spill_charge = 0.0;  // per probe row when multi-batch
-      if (double(build_rows) * build_width > p.work_mem_bytes) {
-        const double build_pages =
-            double(build_rows) * build_width / p.page_size_bytes;
-        if (!ctx_->meter.Charge(FixedFromCost(
-                2.0 * p.seq_page_cost * std::max(1.0, build_pages)))) {
-          return ExecResult::kAborted;
-        }
-        probe_spill_charge =
-            2.0 * p.seq_page_cost * build_width / p.page_size_bytes;
+      // Multi-batch spill: charge the build side's pass now; the probe
+      // side's share rides on every probe row below.
+      if (HashBuildSpills(p, build_rows, row_slots) &&
+          !ctx_->meter.Charge(HashSpillCharge(p, build_rows, row_slots))) {
+        return ExecResult::kAborted;
       }
-      probe_charge_ = FixedFromCost(hash_op + probe_spill_charge);
+      probe_charge_ = HashProbeCharge(p, build_rows, row_slots);
       built_ = true;
     }
 
@@ -475,28 +450,24 @@ class MergeJoinOp : public Operator {
       if (st == ExecResult::kDone) break;
       rrows_.push_back(r);
     }
-    // Charge sort costs in bulk (matches CostModel::SortCost's CPU term;
-    // widths approximated by row slot count * 8B). Pre-sorted inputs — an
-    // interesting order produced upstream — skip both the work and the
-    // charge.
-    const double lw = 8.0 * (lrows_.empty() ? 1 : lrows_[0].size());
-    const double rw = 8.0 * (rrows_.empty() ? 1 : rrows_[0].size());
-    double charge = 0.0;
+    // Charge sort costs in bulk. Pre-sorted inputs — an interesting order
+    // produced upstream — skip both the work and the charge.
     if (!node_->left_presorted) {
-      charge += ctx_->cost_model->SortCost(double(lrows_.size()), lw);
       std::stable_sort(lrows_.begin(), lrows_.end(),
                        [this](const Row& a, const Row& b) {
                          return a[left_key_pos_] < b[left_key_pos_];
                        });
     }
     if (!node_->right_presorted) {
-      charge += ctx_->cost_model->SortCost(double(rrows_.size()), rw);
       std::stable_sort(rrows_.begin(), rrows_.end(),
                        [this](const Row& a, const Row& b) {
                          return a[right_key_pos_] < b[right_key_pos_];
                        });
     }
-    const bool ok = ctx_->meter.Charge(FixedFromCost(charge));
+    const bool ok = ctx_->meter.Charge(MergeSortCharge(
+        *ctx_->cost_model, *node_, static_cast<int64_t>(lrows_.size()),
+        left_->schema().size(), static_cast<int64_t>(rrows_.size()),
+        right_->schema().size()));
     assert(std::is_sorted(lrows_.begin(), lrows_.end(),
                           [this](const Row& a, const Row& b) {
                             return a[left_key_pos_] < b[left_key_pos_];
@@ -558,18 +529,12 @@ class IndexNLJoinOp : public Operator {
     }
     inner_buf_.resize(inner_->num_columns());
     // Same split as IndexScanOp: on paged storage the random page access is
-    // its own buffer-pool-priced meter add; in memory the flat per-match
-    // sum is one charge (the batch engine rounds the same expressions).
+    // its own buffer-pool-priced meter add.
     const auto& p = ctx->cost_model->params();
-    descent_ = FixedFromCost(p.random_page_cost +
-                             4.0 * p.cpu_operator_cost *
-                                 std::log2(inner_rows + 2.0));
-    per_match_ = FixedFromCost(
-        p.random_page_cost + p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
-    per_match_cpu_ = FixedFromCost(
-        p.cpu_index_tuple_cost +
-        (inner_filters_.size() + residual_.size()) * p.cpu_operator_cost);
+    const size_t quals = inner_filters_.size() + residual_.size();
+    descent_ = IndexDescentCharge(p, inner_rows);
+    per_match_ = IndexNLMatchCharge(p, quals);
+    per_match_cpu_ = IndexNLMatchCpuCharge(p, quals);
   }
 
   ExecResult Next(Row* out) override {
@@ -789,9 +754,8 @@ class HashAggregateOp : public Operator {
     NodeCounters& nc = ctx_->instr.ForNode(node_);
 
     if (!built_) {
-      const auto& p = ctx_->cost_model->params();
-      const FixedCost build_charge = FixedFromCost(
-          p.hash_op_factor * p.cpu_operator_cost + p.cpu_operator_cost);
+      const FixedCost build_charge =
+          AggregateBuildCharge(ctx_->cost_model->params());
       Row r;
       for (;;) {
         const ExecResult st = child_->Next(&r);
@@ -883,277 +847,40 @@ class HashAggregateOp : public Operator {
   size_t emit_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Builder
-// ---------------------------------------------------------------------------
-
-}  // namespace
-
-namespace exec_internal {
-
-// Translates a filter predicate into an inclusive index-qual range.
-Status FilterToRange(const SelectionPredicate& f, int64_t* lo, int64_t* hi) {
-  if (!f.has_constant()) {
-    return Status::FailedPrecondition(
-        "cannot execute abstract predicate without constant: " + f.table +
-        "." + f.column);
-  }
-  *lo = INT64_MIN;
-  *hi = INT64_MAX;
-  switch (f.op) {
-    case CompareOp::kLess:
-      // `x < INT64_MIN` is unsatisfiable; guard the decrement overflow.
-      if (f.constant == INT64_MIN) {
-        *lo = 1;
-        *hi = 0;  // empty range
-      } else {
-        *hi = f.constant - 1;
-      }
-      break;
-    case CompareOp::kLessEqual:
-      *hi = f.constant;
-      break;
-    case CompareOp::kGreater:
-      // `x > INT64_MAX` is unsatisfiable; guard the increment overflow.
-      if (f.constant == INT64_MAX) {
-        *lo = 1;
-        *hi = 0;  // empty range
-      } else {
-        *lo = f.constant + 1;
-      }
-      break;
-    case CompareOp::kGreaterEqual:
-      *lo = f.constant;
-      break;
-    case CompareOp::kEqual:
-      *lo = *hi = f.constant;
-      break;
-  }
-  return Status::Ok();
-}
-
-}  // namespace exec_internal
-
-namespace {
-
-Result<std::unique_ptr<Operator>> Build(const PlanNode& node,
-                                        ExecContext* ctx) {
-  const QuerySpec& q = *ctx->query;
-
-  if (node.is_aggregate()) {
-    auto child_res = Build(*node.left, ctx);
-    if (!child_res.ok()) return child_res.status();
-    std::unique_ptr<Operator> child = std::move(child_res.value());
-    const AggregateSpec& spec = q.aggregate;
-    std::vector<int> group_positions;
-    for (const auto& [table, column] : spec.group_by) {
-      const int t = q.TableIndex(table);
-      const int c = ctx->db->table(q.tables[t]).ColumnIndex(column);
-      const int pos = child->FindColumn(t, c);
-      if (pos < 0) return Status::Internal("group-by column not in input");
-      group_positions.push_back(pos);
-    }
-    int agg_position = -1;
-    if (spec.func != AggregateSpec::Func::kCount) {
-      const int t = q.TableIndex(spec.agg_table);
-      const int c =
-          ctx->db->table(q.tables[t]).ColumnIndex(spec.agg_column);
-      agg_position = child->FindColumn(t, c);
-      if (agg_position < 0) {
-        return Status::Internal("aggregate column not in input");
-      }
-    }
-    return std::unique_ptr<Operator>(std::make_unique<HashAggregateOp>(
-        &node, ctx, std::move(child), std::move(group_positions),
-        agg_position, spec.func));
-  }
-
-  if (node.is_scan()) {
-    const std::string& tname = q.tables[node.table_idx];
-    const DataTable& dt = ctx->db->table(tname);
-    std::vector<BoundFilter> filters;
-    for (int f : node.filter_idxs) {
-      const auto& pred = q.filters[f];
-      if (!pred.has_constant()) {
-        return Status::FailedPrecondition(
-            "cannot execute abstract predicate without constant: " +
-            pred.table + "." + pred.column);
-      }
-      const int col = dt.ColumnIndex(pred.column);
-      if (col < 0) return Status::NotFound("column missing in data table");
-      filters.push_back({col, pred.op, pred.constant});
-    }
-    if (node.op == OpType::kIndexScan && node.index_filter >= 0) {
-      const auto& pred = q.filters[node.index_filter];
-      int64_t lo, hi;
-      Status s = FilterToRange(pred, &lo, &hi);
-      if (!s.ok()) return s;
-      const int col = dt.ColumnIndex(pred.column);
-      return std::unique_ptr<Operator>(std::make_unique<IndexScanOp>(
-          &node, ctx, std::move(filters), lo, hi, col));
-    }
-    return std::unique_ptr<Operator>(
-        std::make_unique<SeqScanOp>(&node, ctx, std::move(filters)));
-  }
-
-  // Joins: build the outer child first.
-  auto left_res = Build(*node.left, ctx);
-  if (!left_res.ok()) return left_res.status();
-  std::unique_ptr<Operator> left = std::move(left_res.value());
-
-  // Index NL join: inner is accessed via hash index, no child operator.
-  if (node.op == OpType::kIndexNLJoin) {
-    assert(node.index_join >= 0);
-    const auto& jp = q.joins[node.index_join];
-    const int inner_table = node.right->table_idx;
-    const DataTable& inner_dt = ctx->db->table(q.tables[inner_table]);
-    const bool inner_is_left = q.TableIndex(jp.left_table) == inner_table;
-    const std::string& inner_col_name =
-        inner_is_left ? jp.left_column : jp.right_column;
-    const std::string& outer_col_name =
-        inner_is_left ? jp.right_column : jp.left_column;
-    const int outer_table =
-        inner_is_left ? q.TableIndex(jp.right_table) : q.TableIndex(jp.left_table);
-    const int inner_key_col = inner_dt.ColumnIndex(inner_col_name);
-    const int outer_key_pos = left->FindColumn(
-        outer_table,
-        ctx->db->table(q.tables[outer_table]).ColumnIndex(outer_col_name));
-    if (inner_key_col < 0 || outer_key_pos < 0) {
-      return Status::Internal("index NL join key binding failed");
-    }
-    std::vector<BoundFilter> inner_filters;
-    for (int f : node.right->filter_idxs) {
-      const auto& pred = q.filters[f];
-      if (!pred.has_constant()) {
-        return Status::FailedPrecondition(
-            "cannot execute abstract predicate without constant: " +
-            pred.table + "." + pred.column);
-      }
-      const int col = inner_dt.ColumnIndex(pred.column);
-      if (col < 0) {
-        return Status::NotFound("column missing in data table: " +
-                                pred.table + "." + pred.column);
-      }
-      inner_filters.push_back({col, pred.op, pred.constant});
-    }
-    // Residual join predicates: all join_idxs except the lookup key.
-    std::vector<BoundEquality> residual;
-    const size_t left_width = left->schema().size();
-    for (int j : node.join_idxs) {
-      if (j == node.index_join) continue;
-      const auto& rp = q.joins[j];
-      const int lt = q.TableIndex(rp.left_table);
-      const int rt = q.TableIndex(rp.right_table);
-      const int lcol = ctx->db->table(q.tables[lt]).ColumnIndex(rp.left_column);
-      const int rcol =
-          ctx->db->table(q.tables[rt]).ColumnIndex(rp.right_column);
-      // One endpoint is in the outer schema, the other is the inner table.
-      int pos_a = left->FindColumn(lt, lcol);
-      int pos_b = left->FindColumn(rt, rcol);
-      if (pos_a < 0) pos_a = static_cast<int>(left_width) + lcol;  // inner side
-      if (pos_b < 0) pos_b = static_cast<int>(left_width) + rcol;
-      residual.push_back({pos_a, pos_b});
-    }
-    return std::unique_ptr<Operator>(std::make_unique<IndexNLJoinOp>(
-        &node, ctx, std::move(left), inner_table, inner_key_col,
-        outer_key_pos, std::move(inner_filters), std::move(residual)));
-  }
-
-  auto right_res = Build(*node.right, ctx);
-  if (!right_res.ok()) return right_res.status();
-  std::unique_ptr<Operator> right = std::move(right_res.value());
-
-  // Bind all join predicates to positions in the combined row.
-  const size_t left_width = left->schema().size();
-  auto bind_side = [&](const std::string& table, const std::string& column,
-                       int* pos) -> bool {
-    const int t = q.TableIndex(table);
-    const int c = ctx->db->table(q.tables[t]).ColumnIndex(column);
-    int p = left->FindColumn(t, c);
-    if (p >= 0) {
-      *pos = p;
-      return true;  // found on the left side
-    }
-    p = right->FindColumn(t, c);
-    if (p >= 0) {
-      *pos = static_cast<int>(left_width) + p;
-      return false;  // right side
-    }
-    *pos = -1;
-    return false;
-  };
-
-  std::vector<BoundEquality> all_conditions;
-  // For hash/merge we additionally need the first predicate's key positions
-  // within each child's own row.
-  int left_key_pos = -1;
-  int right_key_pos = -1;
-  for (size_t i = 0; i < node.join_idxs.size(); ++i) {
-    const auto& jp = q.joins[node.join_idxs[i]];
-    int pos_l, pos_r;
-    bind_side(jp.left_table, jp.left_column, &pos_l);
-    bind_side(jp.right_table, jp.right_column, &pos_r);
-    if (pos_l < 0 || pos_r < 0) {
-      return Status::Internal("join predicate binding failed");
-    }
-    if (i == 0) {
-      // Orient: one side must be < left_width (outer), the other >=.
-      const int a = std::min(pos_l, pos_r);
-      const int b = std::max(pos_l, pos_r);
-      if (a >= static_cast<int>(left_width) ||
-          b < static_cast<int>(left_width)) {
-        return Status::Internal("join key not crossing children");
-      }
-      left_key_pos = a;
-      right_key_pos = b - static_cast<int>(left_width);
-    } else {
-      all_conditions.push_back({pos_l, pos_r});
-    }
-  }
-
-  switch (node.op) {
-    case OpType::kHashJoin:
-      return std::unique_ptr<Operator>(std::make_unique<HashJoinOp>(
-          &node, ctx, std::move(left), std::move(right), left_key_pos,
-          right_key_pos, std::move(all_conditions)));
-    case OpType::kMergeJoin:
-      return std::unique_ptr<Operator>(std::make_unique<MergeJoinOp>(
-          &node, ctx, std::move(left), std::move(right), left_key_pos,
-          right_key_pos, std::move(all_conditions)));
-    case OpType::kMaterialNLJoin: {
-      // Re-add the first predicate as a plain condition.
-      std::vector<BoundEquality> conds = std::move(all_conditions);
-      conds.push_back({left_key_pos,
-                       right_key_pos + static_cast<int>(left_width)});
-      return std::unique_ptr<Operator>(std::make_unique<MaterialNLJoinOp>(
-          &node, ctx, std::move(left), std::move(right), std::move(conds)));
-    }
-    default:
-      return Status::Internal("unsupported join operator in builder");
-  }
-}
+// The scalar engine's operator classes, for the one binder (binding.h).
+struct ScalarEngine {
+  using Op = Operator;
+  using State = ExecContext;
+  static const ExecContext* Context(const ExecContext* ctx) { return ctx; }
+  using SeqScan = SeqScanOp;
+  using IndexScan = IndexScanOp;
+  using HashJoin = HashJoinOp;
+  using MergeJoin = MergeJoinOp;
+  using IndexNLJoin = IndexNLJoinOp;
+  using MaterialNLJoin = MaterialNLJoinOp;
+  using HashAggregate = HashAggregateOp;
+};
 
 }  // namespace
 
 Result<std::unique_ptr<Operator>> BuildExecutor(const PlanNode& root,
                                                 ExecContext* ctx) {
   assert(ctx->query && ctx->db && ctx->catalog && ctx->cost_model);
-  return Build(root, ctx);
+  return exec_internal::BindPlan<ScalarEngine>(root, ctx);
 }
 
-ExecResult DrainOperator(Operator* op, std::vector<Row>* rows,
-                         int64_t* emitted, int64_t max_rows) {
+ExecResult DrainOperator(Operator* op, const RowSink& sink,
+                         int64_t* emitted) {
   int64_t count = 0;
   Row r;
   for (;;) {
     const ExecResult st = op->Next(&r);
-    if (st == ExecResult::kRow) {
-      ++count;
-      if (rows != nullptr && count <= max_rows) rows->push_back(r);
-      continue;
+    if (st != ExecResult::kRow) {
+      *emitted = count;
+      return st;
     }
-    *emitted = count;
-    return st;
+    ++count;
+    sink.Put(r);
   }
 }
 

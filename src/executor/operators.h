@@ -28,6 +28,10 @@
 
 namespace bouquet {
 
+namespace storage {
+class SpillWriter;
+}  // namespace storage
+
 using Row = std::vector<int64_t>;
 
 /// Outcome of pulling one row.
@@ -56,26 +60,32 @@ class Operator {
 
   const std::vector<SchemaCol>& schema() const { return schema_; }
 
-  /// Position of (table, col) in the output row, or -1.
-  int FindColumn(int table_idx, int col_idx) const;
-
  protected:
   Operator() = default;
   std::vector<SchemaCol> schema_;
 };
 
 /// Builds an operator tree for (a subtree of) a physical plan against real
-/// data. Fails when a selection predicate lacks a constant (abstract
-/// cost-model-only queries cannot be executed).
+/// data, through the binder both engines share (binding.h). Fails when a
+/// selection predicate lacks a constant (abstract cost-model-only queries
+/// cannot be executed) or a predicate names a column the data lacks.
 Result<std::unique_ptr<Operator>> BuildExecutor(const PlanNode& root,
                                                 ExecContext* ctx);
 
-/// Drains an operator to completion (or budget exhaustion), materializing at
-/// most `max_rows` result rows into *rows (pass nullptr to count only).
+/// Where a drain loop (either engine's) puts the rows it emits: appended to
+/// `rows`, written to a spill segment, or, with both null, counted only.
+struct RowSink {
+  std::vector<Row>* rows = nullptr;
+  storage::SpillWriter* spill = nullptr;
+
+  /// False when Put would drop the row, so a drain loop need not make it.
+  bool keeps() const;
+  void Put(const Row& row) const;
+};
+
+/// Drains an operator to completion (or budget exhaustion) into `sink`.
 /// Returns kDone or kAborted; row count is in *emitted.
-ExecResult DrainOperator(Operator* op, std::vector<Row>* rows,
-                         int64_t* emitted,
-                         int64_t max_rows = INT64_MAX);
+ExecResult DrainOperator(Operator* op, const RowSink& sink, int64_t* emitted);
 
 }  // namespace bouquet
 

@@ -257,6 +257,28 @@ RunSnap RunOne(ExecEngine engine, const PlanNode& root, ExecDataset* ds,
   return s;
 }
 
+// Folds a scalar oracle run into `fp` (FNV-1a over 64-bit words).
+void FoldOracle(const RunSnap& s, uint64_t* fp) {
+  const auto add = [fp](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      *fp ^= (v >> (8 * i)) & 0xff;
+      *fp *= 0x100000001b3ULL;
+    }
+  };
+  add(s.build_failed ? 1 : 0);
+  add(static_cast<uint64_t>(s.status));
+  add(static_cast<uint64_t>(s.charged));
+  add(static_cast<uint64_t>(s.rows_emitted));
+  add(static_cast<uint64_t>(s.page_reads));
+  add(static_cast<uint64_t>(s.page_hits));
+  for (const NodeSnap& n : s.nodes) {
+    add(n.present ? 1 : 0);
+    add(static_cast<uint64_t>(n.tuples_out));
+    add(static_cast<uint64_t>(n.tuples_scanned));
+    add(n.finished ? 1 : 0);
+  }
+}
+
 // First divergence between a scalar-oracle snapshot and a batch snapshot,
 // or "" when they agree everywhere. `charged` is the meter's integer.
 std::string CompareSnaps(const RunSnap& oracle, const RunSnap& batch) {
@@ -388,6 +410,7 @@ ExecDiffResult CheckExecDifferential(const FuzzInstance& instance,
     // the budget sweep.
     const RunSnap full = RunOne(ExecEngine::kScalar, *plan.root, &ds, &cm,
                                 inf, /*batch_size=*/1024, /*spill=*/false);
+    FoldOracle(full, &r.oracle_fingerprint);
     const double total = CostFromFixed(full.charged);
 
     // Budget sweep: unlimited, below-first-charge (abort on tuple one),
@@ -414,6 +437,7 @@ ExecDiffResult CheckExecDifferential(const FuzzInstance& instance,
           budget == inf ? full
                         : RunOne(ExecEngine::kScalar, *plan.root, &ds, &cm,
                                  budget, 1024, false);
+      if (budget != inf) FoldOracle(oracle, &r.oracle_fingerprint);
       if (k >= first_fraction && k < end_fraction &&
           oracle.status == static_cast<int>(ExecResult::kAborted)) {
         budgets.push_back(CostFromFixed(oracle.charged));
@@ -442,6 +466,7 @@ ExecDiffResult CheckExecDifferential(const FuzzInstance& instance,
       if (sub == nullptr) continue;
       const RunSnap sfull = RunOne(ExecEngine::kScalar, *sub, &ds, &cm, inf,
                                    1024, /*spill=*/true);
+      FoldOracle(sfull, &r.oracle_fingerprint);
       std::vector<double> sbudgets = {inf, CostFromFixed(sfull.charged) * 0.5};
       if (sfull.charged > 0) {
         sbudgets.push_back(CostFromFixed(sfull.charged - 1));
@@ -451,6 +476,7 @@ ExecDiffResult CheckExecDifferential(const FuzzInstance& instance,
             budget == inf ? sfull
                           : RunOne(ExecEngine::kScalar, *sub, &ds, &cm,
                                    budget, 1024, true);
+        if (budget != inf) FoldOracle(oracle, &r.oracle_fingerprint);
         for (const int bsz : options.batch_sizes) {
           const RunSnap batch =
               RunOne(ExecEngine::kBatch, *sub, &ds, &cm, budget, bsz, true);

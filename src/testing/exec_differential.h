@@ -22,7 +22,10 @@
 //      executions, and degenerate batch sizes (1, 3, non-powers of two).
 //
 // Any divergence is reported with the plan signature, budget, and batch
-// size that produced it, so a failure is directly replayable.
+// size that produced it, so a failure is directly replayable. The engines
+// share their binder and charge units, so a shared unit that moves moves
+// in both; the result also carries a fingerprint of the scalar oracle's
+// own runs for a test to pin.
 
 #ifndef BOUQUET_TESTING_EXEC_DIFFERENTIAL_H_
 #define BOUQUET_TESTING_EXEC_DIFFERENTIAL_H_
@@ -87,6 +90,11 @@ struct ExecDiffResult {
   std::string detail;  ///< first divergence, empty when ok
   int plans_checked = 0;
   int runs_compared = 0;  ///< total (engine-pair, budget, batch-size) runs
+  /// FNV-1a fold of every scalar oracle run, in run order: build failure,
+  /// status, charged quanta, rows emitted, page reads and hits, and each
+  /// node's counters. The engine comparison cannot see a charge unit that
+  /// moves in both engines at once; a pin of this value can.
+  uint64_t oracle_fingerprint = 0xcbf29ce484222325ULL;
 };
 
 /// Generates real tables for the instance's schema and binds its filters.

@@ -7,7 +7,11 @@
 // harness (scaled up by BOUQUET_EXEC_DIFF_ITERS for scheduled runs),
 // hand-built degenerate shapes (empty inputs, single rows, everything
 // filtered, batch size 1), and a full BouquetDriver matrix asserting the
-// driver's DriverStep sequences are byte-identical across engines.
+// driver's DriverStep sequences are byte-identical across engines. The
+// sweeps also pin the scalar oracle's own absolute charges and counters
+// (ExecDiffResult::oracle_fingerprint), which a comparison of the two
+// engines cannot: the engines share their charge units, so a unit that
+// moves moves in both.
 
 #include <gtest/gtest.h>
 
@@ -24,8 +28,8 @@
 #include "bouquet/bounds.h"
 #include "bouquet/driver.h"
 #include "ess/posp_generator.h"
-#include "executor/batch.h"
 #include "executor/builder.h"
+#include "golden_digest.h"
 #include "storage/paged_table.h"
 #include "testing/exec_differential.h"
 #include "workloads/spaces.h"
@@ -55,6 +59,7 @@ TEST(ExecDifferential, SeededSweepHasZeroDivergences) {
   opts.budget_sweeps = 2;
   opts.batch_sizes = {1, 7, 1024};
   long long runs = 0;
+  GoldenDigest oracle;
   for (int i = 0; i < iters; ++i) {
     const uint64_t seed = 0xD1FFu + static_cast<uint64_t>(i);
     const FuzzInstance instance = GenerateFuzzInstance(seed);
@@ -63,9 +68,16 @@ TEST(ExecDifferential, SeededSweepHasZeroDivergences) {
     const ExecDiffResult r = CheckExecDifferential(instance, opts);
     ASSERT_TRUE(r.ok) << instance.Describe() << ": " << r.detail;
     runs += r.runs_compared;
+    oracle.Add(r.oracle_fingerprint);
   }
   std::printf("exec differential sweep: %d instances, %lld engine-pair "
-              "runs, zero divergences\n", iters, runs);
+              "runs, zero divergences, oracle fingerprint 0x%016llx\n",
+              iters, runs, static_cast<unsigned long long>(oracle.value()));
+  // The scalar oracle's absolute charges over the default sweep; a scaled
+  // sweep (BOUQUET_EXEC_DIFF_ITERS) folds other instances.
+  if (iters == 1000) {
+    EXPECT_EQ(oracle.value(), 0x981023dcd57601b9ULL);
+  }
 }
 
 // The same differential, but both engines execute over disk-backed paged
@@ -77,6 +89,7 @@ TEST(ExecDifferential, SeededSweepHasZeroDivergences) {
 // (4 pages) over multi-page tables keeps every run under heavy eviction
 // pressure; both policies are exercised.
 TEST(ExecDifferential, PagedSweepExactAccountingAndParity) {
+  GoldenDigest oracle;
   for (const storage::EvictionPolicyKind policy :
        {storage::EvictionPolicyKind::k2Q,
         storage::EvictionPolicyKind::kLru}) {
@@ -101,9 +114,14 @@ TEST(ExecDifferential, PagedSweepExactAccountingAndParity) {
       ASSERT_TRUE(r.ok) << tag << " " << instance.Describe() << ": "
                         << r.detail;
       runs += r.runs_compared;
+      oracle.Add(r.oracle_fingerprint);
     }
     EXPECT_GT(runs, 0) << tag;
   }
+  // The scalar oracle's absolute charges and page counts over both pools.
+  std::printf("paged oracle fingerprint 0x%016llx\n",
+              static_cast<unsigned long long>(oracle.value()));
+  EXPECT_EQ(oracle.value(), 0x371527c2bb467130ULL);
 }
 
 TEST(ExecDifferential, DeterministicFromSeed) {
@@ -194,8 +212,8 @@ class DegenerateFixture : public ::testing::Test {
       for (const int bsz : {1, 2, 3, 1024}) {
         ExecContext bctx = MakeContext(bsz);
         std::vector<Row> brows;
-        const ExecutionOutcome b = ExecutePlanBatch(plan, &bctx, budget,
-                                                    &brows);
+        const ExecutionOutcome b =
+            ExecutePlanWith(ExecEngine::kBatch, plan, &bctx, budget, &brows);
         ASSERT_EQ(b.status, s.status) << "budget " << budget;
         ASSERT_EQ(b.cost_charged, s.cost_charged)
             << "budget " << budget << " batch " << bsz;

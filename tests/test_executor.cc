@@ -230,18 +230,21 @@ TEST_F(ExecutorTest, EmptyResultAtImpossibleFilter) {
   EXPECT_EQ(out.rows_emitted, 0);
 }
 
-TEST_F(ExecutorTest, DrainOperatorCapsMaterialization) {
+TEST_F(ExecutorTest, DrainOperatorKeepsOrCountsRows) {
   const Plan plan = opt_->OptimizeAt({0.3, 0.4});
-  ExecContext ctx = MakeContext();
-  ctx.meter.Reset();
-  auto built = BuildExecutor(*plan.root, &ctx);
-  ASSERT_TRUE(built.ok());
-  std::vector<Row> rows;
-  int64_t emitted = 0;
-  const ExecResult st = DrainOperator(built->get(), &rows, &emitted, 5);
-  EXPECT_EQ(st, ExecResult::kDone);
-  EXPECT_LE(rows.size(), 5u);
-  EXPECT_EQ(emitted, ReferenceCount(db_, query_));
+  for (const bool keep : {true, false}) {
+    ExecContext ctx = MakeContext();
+    ctx.meter.Reset();
+    auto built = BuildExecutor(*plan.root, &ctx);
+    ASSERT_TRUE(built.ok());
+    std::vector<Row> rows;
+    int64_t emitted = 0;
+    const ExecResult st = DrainOperator(
+        built->get(), RowSink{keep ? &rows : nullptr, nullptr}, &emitted);
+    EXPECT_EQ(st, ExecResult::kDone);
+    EXPECT_EQ(emitted, ReferenceCount(db_, query_));
+    EXPECT_EQ(static_cast<int64_t>(rows.size()), keep ? emitted : 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

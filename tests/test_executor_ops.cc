@@ -245,6 +245,34 @@ TEST_F(OpsFixture, AbortPreservesPartialCounters) {
   EXPECT_FALSE(nc->finished);
 }
 
+// A join predicate on a column the catalog declares but the data table
+// lacks cannot bind, whichever join method carries it and whichever engine
+// runs it: bound to any other position, an index NL join's residual would
+// compare the wrong columns and return wrong rows.
+TEST_F(OpsFixture, JoinOnColumnMissingFromDataFailsToBuild) {
+  catalog_.GetMutableTable("s").columns.push_back(ColumnInfo{"x", {}, false});
+  query_.joins.push_back(JoinPredicate{"r", "v", "s", "x", -1.0});
+  ASSERT_TRUE(query_.Validate(catalog_).ok());
+  const std::vector<PlanNodeRef> plans = {
+      Join(OpType::kIndexNLJoin, Scan(OpType::kSeqScan, 0),
+           Scan(OpType::kIndexScan, 1), {0, 1}, /*index_join=*/0),
+      Join(OpType::kHashJoin, Scan(OpType::kSeqScan, 0),
+           Scan(OpType::kSeqScan, 1), {0, 1})};
+  for (const auto& plan : plans) {
+    for (const ExecEngine engine : {ExecEngine::kScalar, ExecEngine::kBatch}) {
+      ExecContext ctx = MakeContext();
+      std::vector<Row> rows;
+      const ExecutionOutcome out =
+          ExecutePlanWith(engine, *plan, &ctx,
+                          std::numeric_limits<double>::infinity(), &rows);
+      EXPECT_TRUE(out.build_failed)
+          << OpTypeName(plan->op) << " engine " << static_cast<int>(engine)
+          << " returned " << out.rows_emitted << " rows";
+      EXPECT_TRUE(rows.empty());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batch-vs-scalar parity on the fixture plans
 // ---------------------------------------------------------------------------
@@ -270,8 +298,9 @@ TEST_F(OpsFixture, BatchEngineMatchesScalarOnEveryJoinMethod) {
       ExecContext bctx = MakeContext();
       bctx.batch_size = bsz;
       std::vector<Row> brows;
-      const ExecutionOutcome b = ExecutePlanBatch(
-          *plan, &bctx, std::numeric_limits<double>::infinity(), &brows);
+      const ExecutionOutcome b =
+          ExecutePlanWith(ExecEngine::kBatch, *plan, &bctx,
+                          std::numeric_limits<double>::infinity(), &brows);
       EXPECT_EQ(b.status, s.status);
       EXPECT_EQ(b.rows_emitted, s.rows_emitted);
       // Bit-exact: the batch engine replays the identical charge sequence.
@@ -291,8 +320,8 @@ TEST_F(OpsFixture, BatchAndScalarNodeCountersIdentical) {
   ExecutePlan(*plan, &sctx, std::numeric_limits<double>::infinity(), nullptr);
   ExecContext bctx = MakeContext();
   bctx.batch_size = 2;  // forces multi-batch probing
-  ExecutePlanBatch(*plan, &bctx, std::numeric_limits<double>::infinity(),
-                   nullptr);
+  ExecutePlanWith(ExecEngine::kBatch, *plan, &bctx,
+                  std::numeric_limits<double>::infinity(), nullptr);
   for (const PlanNode* node : CollectNodes(*plan)) {
     const NodeCounters* snc = sctx.instr.Find(node);
     const NodeCounters* bnc = bctx.instr.Find(node);
@@ -318,7 +347,8 @@ TEST_F(OpsFixture, BatchAndScalarAbortAtSameTuple) {
     const ExecutionOutcome s = ExecutePlan(*plan, &sctx, budget, nullptr);
     ExecContext bctx = MakeContext();
     bctx.batch_size = 3;
-    const ExecutionOutcome b = ExecutePlanBatch(*plan, &bctx, budget, nullptr);
+    const ExecutionOutcome b =
+        ExecutePlanWith(ExecEngine::kBatch, *plan, &bctx, budget, nullptr);
     EXPECT_EQ(b.status, s.status) << "budget " << budget;
     EXPECT_EQ(b.cost_charged, s.cost_charged) << "budget " << budget;
     for (const PlanNode* node : CollectNodes(*plan)) {
